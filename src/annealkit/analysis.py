@@ -2,10 +2,13 @@
 
 Extracts per-size (v, f, sigma) datasets from a curve table, applies the
 high-velocity plateau exclusion, runs the shared-exponent fit, and
-assembles the machine-readable fit summary document.
+assembles the machine-readable fit summary document.  Also holds the
+binned-error estimator shared by simulated sweeps and device aggregates.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -16,6 +19,21 @@ from .tables import Table
 
 FIT_SUMMARY_SCHEMA = "fit-summary/1"
 PLATEAU_MODES = ("energy_1d", "none")
+
+
+def bin_stats(values: np.ndarray, n_bins_target: int):
+    """Mean and binned standard error; bins equal to within one sample.
+
+    A single value has no spread to estimate; its error is reported as 0.
+    """
+    n = len(values)
+    if n == 1:
+        return float(values[0]), 0.0, 1
+    n_bins = min(n_bins_target, n)
+    edges = np.linspace(0, n, n_bins + 1).astype(int)
+    bin_means = np.array([values[a:b].mean() for a, b in zip(edges[:-1], edges[1:])])
+    stderr = float(bin_means.std(ddof=1) / math.sqrt(n_bins))
+    return float(values.mean()), stderr, n_bins
 
 
 def datasets_from_table(table: Table, observable: str = "delta_e",
@@ -120,24 +138,23 @@ def fit_table(table: Table, observable: str = "delta_e",
     return fit, doc, datasets
 
 
-def rescaled_rows(fit: PowerLawFit, datasets: dict):
-    """(L, v, u, g, g_err) rows collapsing every dataset."""
+def rescaled_rows(summary: dict, datasets: dict):
+    """(L, v, u, g, g_err) rows collapsing every dataset, rescaled by the
+    per-size minima of a fit summary document."""
+    by_size = {entry["L"]: entry for entry in summary["per_size"]}
     rows = []
     for size, (v, f, s) in datasets.items():
-        opt = optimum(fit, size)
-        u, g = rescale(v, f, opt.v_min, opt.f_min)
-        for k in range(len(u)):
-            rows.append((size, v[k], u[k], g[k], s[k] / opt.f_min))
+        if size not in by_size:
+            raise SchemaError(f"fit summary lacks size {size}")
+        entry = by_size[size]
+        u, g = rescale(v, f, entry["v_min"], entry["f_min"])
+        rows.extend((size, v[k], u[k], g[k], s[k] / entry["f_min"])
+                    for k in range(len(u)))
     return rows
 
 
-def master_curve_rows(fit: PowerLawFit, datasets: dict, n: int = 200):
-    """(u, g) samples of the fitted master curve spanning the data."""
-    us = []
-    for size, (v, _, _) in datasets.items():
-        opt = optimum(fit, size)
-        us.append(v / opt.v_min)
-    u_all = np.concatenate(us)
-    grid = np.logspace(np.log10(u_all.min() / 2), np.log10(u_all.max() * 2), n)
-    g = master_curve(grid, fit.alpha, fit.beta)
-    return list(zip(grid, g))
+def master_curve_rows(summary: dict, rows, n: int = 200):
+    """(u, g) samples of the summary's master curve spanning the rescaled rows."""
+    u = [r[2] for r in rows]
+    grid = np.logspace(np.log10(min(u) / 2), np.log10(max(u) * 2), n)
+    return list(zip(grid, master_curve(grid, summary["alpha"], summary["beta"])))

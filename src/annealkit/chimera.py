@@ -22,7 +22,6 @@ excluded from all statistics.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import struct
 from dataclasses import dataclass, field
@@ -32,8 +31,10 @@ import warnings
 import numpy as np
 
 from . import __version__
+from .analysis import bin_stats
 from .errors import ParameterError, SchemaError
 from .seeds import stream
+from .tables import read_document, read_table, write_document
 
 GRID = 16                 # cells per side
 CELL = 8                  # qubits per cell
@@ -429,21 +430,11 @@ def aggregate_tiles(decoded: Sequence[TileStats], L: int, v: float,
     fields = ("delta_e_phys", "delta_m_phys", "delta_e_logical",
               "delta_m_logical")
     result = {"L": L, "v": v, "n_real": len(rows)}
-    n = len(rows)
-    if n == 1:
-        result["n_bins"] = 1
-        for name in fields:
-            result[name + "_mean"] = getattr(rows[0], name)
-            result[name + "_stderr"] = float("nan")
-        return result
-    nb = min(n_bins, n)
-    edges = np.linspace(0, n, nb + 1).astype(int)
-    result["n_bins"] = nb
     for name in fields:
-        x = np.array([getattr(r, name) for r in rows])
-        bin_means = np.array([x[a:b].mean() for a, b in zip(edges[:-1], edges[1:])])
-        result[name + "_mean"] = float(x.mean())
-        result[name + "_stderr"] = float(bin_means.std(ddof=1) / np.sqrt(nb))
+        mean, stderr, result["n_bins"] = bin_stats(
+            np.array([getattr(r, name) for r in rows]), n_bins)
+        result[name + "_mean"] = mean
+        result[name + "_stderr"] = stderr if len(rows) > 1 else float("nan")
     return result
 
 
@@ -492,29 +483,17 @@ def write_coupler_list(path, emb: Embedding) -> None:
 
 
 def read_coupler_list(path):
-    meta, rows = {}, []
-    with open(path, encoding="utf-8") as fh:
-        header_seen = False
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, value = body.partition(":")
-                    meta[key.strip()] = value.strip()
-                continue
-            if not header_seen:
-                if line.split() != ["q1", "q2", "J"]:
-                    raise SchemaError(f"unexpected coupler header: {line}")
-                header_seen = True
-                continue
-            a, b, j = line.split()
-            rows.append((int(a), int(b), float(j)))
-    if meta.get("schema") != COUPLER_SCHEMA:
+    """(metadata, [(q1, q2, J)]) of a coupler-list document."""
+    table = read_table(path)
+    if table.meta.get("schema") != COUPLER_SCHEMA:
         raise SchemaError(f"{path} is not a {COUPLER_SCHEMA} document")
-    return meta, rows
+    if table.columns != ["q1", "q2", "J"]:
+        raise SchemaError(f"unexpected coupler header: {' '.join(table.columns)}")
+    qubits = table.data[:, :2]
+    if not np.all(np.isfinite(qubits) & (qubits == np.trunc(qubits))):
+        raise SchemaError(f"{path} has a non-integer qubit index")
+    rows = [(int(a), int(b), j) for a, b, j in table.data.tolist()]
+    return table.meta, rows
 
 
 def write_logical_map(path, emb: Embedding) -> None:
@@ -532,18 +511,13 @@ def write_logical_map(path, emb: Embedding) -> None:
             for (x, y) in sorted(emb.pairs)
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_document(path, doc)
 
 
 def read_embedding(coupler_path, map_path) -> Embedding:
     """Rebuild an Embedding from its two emitted documents."""
     _, couplers = read_coupler_list(coupler_path)
-    with open(map_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != LOGICAL_MAP_SCHEMA:
-        raise SchemaError(f"{map_path} is not a {LOGICAL_MAP_SCHEMA} document")
+    doc = read_document(map_path, LOGICAL_MAP_SCHEMA)
     pairs, site_tile, vacancies = {}, {}, set()
     owner = {}
     for entry in doc["sites"]:
@@ -564,6 +538,9 @@ def read_embedding(coupler_path, map_path) -> Embedding:
             site = hc_keys[key]
             hc[site] = (pairs[site][0], pairs[site][1], val)
             continue
+        if q1 not in owner or q2 not in owner:
+            raise SchemaError(f"coupler ({q1}, {q2}) touches a qubit that no "
+                              f"site of {map_path} owns")
         s1, s2 = owner[q1], owner[q2]
         bond = (s1, s2) if (s1 < s2) else (s2, s1)
         bond_map.setdefault(bond, []).append((q1, q2, val))
@@ -594,9 +571,7 @@ def write_samples(path, samples: SampleSet, fmt: str = "text") -> None:
     sidecar = dict(samples.metadata)
     sidecar["schema"] = SAMPLES_TEXT_SCHEMA
     sidecar["format"] = fmt
-    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_document(str(path) + ".meta.json", sidecar)
 
 
 def read_samples(path) -> SampleSet:
@@ -604,25 +579,36 @@ def read_samples(path) -> SampleSet:
     with open(path, "rb") as fh:
         head = fh.read(len(SAMPLES_MAGIC))
         if head == SAMPLES_MAGIC:
-            n_qubits, n_runs = struct.unpack("<II", fh.read(8))
+            header = fh.read(8)
+            if len(header) != 8:
+                raise SchemaError(f"{path}: truncated binary sample header")
+            n_qubits, n_runs = struct.unpack("<II", header)
             if n_qubits != N_QUBITS:
                 raise SchemaError(f"binary sample file has {n_qubits} qubits")
+            # size check before reading: a corrupt run count must not
+            # make the read allocate for records the file does not hold
+            remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+            if remaining < n_qubits * n_runs:
+                raise SchemaError(f"{path}: truncated binary sample file "
+                                  f"({remaining} bytes for {n_runs} records)")
             data = np.frombuffer(fh.read(n_qubits * n_runs), dtype="<i1")
             values = data.reshape(n_runs, n_qubits)
         else:
             values = None
     if values is None:
         rows = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                rows.append([int(tok) for tok in line.split()])
-        values = np.array(rows, dtype=np.int8)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for line in fh:
+                    line = line.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    rows.append([int(tok) for tok in line.split()])
+            values = np.array(rows, dtype=np.int8)
+        except (ValueError, OverflowError) as exc:
+            raise SchemaError(f"{path}: malformed sample records: {exc}") from None
     metadata = {}
     sidecar = str(path) + ".meta.json"
     if os.path.exists(sidecar):
-        with open(sidecar, encoding="utf-8") as fh:
-            metadata = json.load(fh)
+        metadata = read_document(sidecar)
     return SampleSet(values=values, metadata=metadata)

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from datetime import datetime, timezone
@@ -20,14 +19,15 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .analysis import (FIT_SUMMARY_SCHEMA, fit_summary_document, fit_table,
+from .analysis import (FIT_SUMMARY_SCHEMA, datasets_from_table, fit_table,
                        master_curve_rows, rescaled_rows)
 from .config import (apply_override, config_digest, load_config,
                      validate_config)
 from .errors import (ConfigError, FitConvergenceError, HorizonError,
                      IntegrationAbort, ParameterError, SchemaError)
 from .noise import NoiseSpectrum, sample_signal
-from .tables import append_row, read_table, write_table
+from .tables import (append_row, read_document, read_table, write_document,
+                     write_table)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -62,9 +62,7 @@ def _outpath(doc: dict, name: str) -> str:
 def _sidecar(path: str, payload: dict) -> None:
     payload = dict(payload)
     payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_document(path + ".meta.json", payload)
 
 
 def _spectrum_from(section: dict) -> NoiseSpectrum:
@@ -104,15 +102,20 @@ def cmd_simulate(args) -> int:
         n_bins=sec.get("n_bins", 20),
     )
     out = _outpath(doc, sec.get("output", "curve.tsv"))
+    provenance = {"config_digest": digest, "plan_digest": plan.digest()}
 
     def progress(row):
         print(f"  L={row.L:4d} v={row.v:.6g} dE={row.delta_e_mean:.6g} "
               f"+- {row.delta_e_stderr:.2g}", flush=True)
+        # written once a point is in the table (the resume check has passed
+        # by then), so a stopped sweep keeps its provenance; the failures
+        # list is added when the grid ends
+        _sidecar(out, provenance)
 
     result = run_sweep(plan, out_path=out, workers=doc["workers"],
                        progress=progress, meta={"config_digest": digest})
-    _sidecar(out, {"config_digest": digest, "plan_digest": plan.digest(),
-                   "failures": [list(f) for f in result.failures]})
+    _sidecar(out, dict(provenance,
+                       failures=[list(f) for f in result.failures]))
     print(f"wrote {out} ({len(result.rows)} points, "
           f"{len(result.failures)} failures)")
     return EXIT_PARTIAL if result.failures else EXIT_OK
@@ -152,6 +155,19 @@ def cmd_qubit(args) -> int:
     return EXIT_OK
 
 
+def _write_collapse(doc: dict, prefix: str, digest: str, summary: dict,
+                    datasets: dict) -> tuple:
+    """Write the rescaled points and the master curve of a fit summary."""
+    rows = rescaled_rows(summary, datasets)
+    out = _outpath(doc, f"{prefix}_rescaled.tsv")
+    write_table(out, ("L", "v", "u", "g", "g_stderr"), rows,
+                {"schema": "rescaled-points/1", "config_digest": digest})
+    mout = _outpath(doc, f"{prefix}_master.tsv")
+    write_table(mout, ("u", "g"), master_curve_rows(summary, rows),
+                {"schema": "master-curve/1", "config_digest": digest})
+    return out, mout
+
+
 def _cmd_fit_common(args, section: str) -> int:
     doc, digest = _effective_config(args)
     sec = _require(doc, section)
@@ -164,32 +180,10 @@ def _cmd_fit_common(args, section: str) -> int:
     prefix = sec.get("output_prefix", section)
 
     if section == "collapse" and "fit_summary" in sec:
-        with open(sec["fit_summary"], encoding="utf-8") as fh:
-            summary = json.load(fh)
-        if summary.get("schema") != FIT_SUMMARY_SCHEMA:
-            raise SchemaError(f"{sec['fit_summary']} is not a fit summary")
-        from .analysis import datasets_from_table
-        from .scaling import master_curve, rescale
+        summary = read_document(sec["fit_summary"], FIT_SUMMARY_SCHEMA)
         datasets = datasets_from_table(table, observable, plateau_mode,
                                        fraction)
-        rows = []
-        by_size = {entry["L"]: entry for entry in summary["per_size"]}
-        for size, (v, f, s) in datasets.items():
-            if size not in by_size:
-                raise SchemaError(f"fit summary lacks size {size}")
-            entry = by_size[size]
-            u, g = rescale(v, f, entry["v_min"], entry["f_min"])
-            rows.extend((size, v[k], u[k], g[k], s[k] / entry["f_min"])
-                        for k in range(len(u)))
-        out = _outpath(doc, f"{prefix}_rescaled.tsv")
-        write_table(out, ("L", "v", "u", "g", "g_stderr"), rows,
-                    {"schema": "rescaled-points/1", "config_digest": digest})
-        us = np.logspace(np.log10(min(r[2] for r in rows) / 2),
-                         np.log10(max(r[2] for r in rows) * 2), 200)
-        gs = master_curve(us, summary["alpha"], summary["beta"])
-        mout = _outpath(doc, f"{prefix}_master.tsv")
-        write_table(mout, ("u", "g"), zip(us, gs),
-                    {"schema": "master-curve/1", "config_digest": digest})
+        out, mout = _write_collapse(doc, prefix, digest, summary, datasets)
         print(f"wrote {out} and {mout}")
         return EXIT_OK
 
@@ -197,16 +191,9 @@ def _cmd_fit_common(args, section: str) -> int:
                                        fraction, u_max=sec.get("u_max"),
                                        config_digest=digest)
     out_json = _outpath(doc, f"{prefix}_summary.json")
-    with open(out_json, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    out_resc = _outpath(doc, f"{prefix}_rescaled.tsv")
-    write_table(out_resc, ("L", "v", "u", "g", "g_stderr"),
-                rescaled_rows(fit, datasets),
-                {"schema": "rescaled-points/1", "config_digest": digest})
-    out_master = _outpath(doc, f"{prefix}_master.tsv")
-    write_table(out_master, ("u", "g"), master_curve_rows(fit, datasets),
-                {"schema": "master-curve/1", "config_digest": digest})
+    write_document(out_json, summary)
+    out_resc, out_master = _write_collapse(doc, prefix, digest, summary,
+                                           datasets)
     print(f"wrote {out_json}, {out_resc}, {out_master}")
     print(f"alpha = {fit.alpha:.4f} +- {fit.alpha_error:.4f}, "
           f"beta = {fit.beta:.4f} +- {fit.beta_error:.4f}, "
@@ -266,12 +253,10 @@ def cmd_embed(args) -> int:
     tpath = _outpath(doc, f"{prefix}.tiles.json")
     write_coupler_list(cpath, emb)
     write_logical_map(mpath, emb)
-    with open(tpath, "w", encoding="utf-8") as fh:
-        json.dump({"schema": "tile-partition/1", "tile_side": emb.L,
-                   "placements": [[t.tile_id, t.x0, t.y0]
-                                  for t in emb.placements],
-                   "config_digest": digest}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_document(tpath, {"schema": "tile-partition/1", "tile_side": emb.L,
+                           "placements": [[t.tile_id, t.x0, t.y0]
+                                          for t in emb.placements],
+                           "config_digest": digest})
     census = emb.census()
     print(f"wrote {cpath}, {mpath}, {tpath}")
     print(f"couplers: {census['hc']} high-cost, {census['intra']} intra-cell, "

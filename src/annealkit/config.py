@@ -158,6 +158,9 @@ def _check_type(path: str, value, expected) -> Any:
 
 
 def _validate_section(name: str, section: dict, schema: dict) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name.rstrip('.')}: expected an object, got "
+                          f"{type(section).__name__}")
     out = {}
     for key, value in section.items():
         if key not in schema:
@@ -175,7 +178,7 @@ def validate_config(doc: dict) -> dict:
     for key, value in doc.items():
         if key in _SCHEMAS[""]:
             clean[key] = _check_type(key, value, _SCHEMAS[""][key])
-        elif key in _SCHEMAS:
+        elif key and key in _SCHEMAS:  # "" names the root schema
             clean[key] = _validate_section(f"{key}.", value, _SCHEMAS[key])
         else:
             raise ConfigError(f"unknown section {key!r}; allowed: "
@@ -185,9 +188,14 @@ def validate_config(doc: dict) -> dict:
             clean[key]["spectrum"] = _validate_section(
                 f"{key}.spectrum.", clean[key]["spectrum"], _SPECTRUM_KEYS)
     if "simulate" in clean and isinstance(clean["simulate"].get("velocities"), dict):
-        clean["simulate"]["velocities"] = _validate_section(
-            "simulate.velocities.", clean["simulate"]["velocities"],
-            _VELOCITY_RANGE_KEYS)
+        span = _validate_section("simulate.velocities.",
+                                 clean["simulate"]["velocities"],
+                                 _VELOCITY_RANGE_KEYS)
+        if set(span) != set(_VELOCITY_RANGE_KEYS) or \
+                not 0 < span["min"] <= span["max"] or span["count"] < 1:
+            raise ConfigError("simulate.velocities range needs min, max and "
+                              "count with 0 < min <= max and count >= 1")
+        clean["simulate"]["velocities"] = span
     if "embed" in clean and "defects" in clean["embed"]:
         clean["embed"]["defects"] = _validate_section(
             "embed.defects.", clean["embed"]["defects"], _DEFECT_KEYS)

@@ -120,12 +120,6 @@ def anneal_exact(chain: ChainSpec, T: float, rtol: float = 1e-10,
     return evolve_exact(start, chain, T, rtol=rtol, atol=atol)
 
 
-def energy_expectation_exact(state: DenseState, chain: ChainSpec, s: float,
-                             t: float = 0.0) -> float:
-    H = build_hamiltonian(chain, s, t)
-    return float(np.real(np.vdot(state.amplitudes, H @ state.amplitudes)))
-
-
 def classical_stats(state: DenseState) -> ClassicalStats:
     """Ising energy and magnetization deficit over the z-basis distribution."""
     L = state.size

@@ -21,6 +21,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__
+from .analysis import bin_stats
 from .errors import IntegrationAbort, ParameterError, SchemaError
 from .fermion import (ChainSpec, bdg_matrices, correlations, evolve,
                       ground_state, residual_energy)
@@ -148,18 +149,6 @@ def _one_realization(plan: SweepPlan, L: int, v: float, r: int) -> float:
     modes = ground_state(*bdg_matrices(chain, 0.0, 0.0))
     final = evolve(modes, chain, T=1.0 / v, rtol=plan.rtol, atol=plan.atol)
     return residual_energy(correlations(final))
-
-
-def bin_stats(values: np.ndarray, n_bins_target: int):
-    """Mean and binned standard error; bins equal to within one sample."""
-    n = len(values)
-    if n == 1:
-        return float(values[0]), 0.0, 1
-    n_bins = min(n_bins_target, n)
-    edges = np.linspace(0, n, n_bins + 1).astype(int)
-    bin_means = np.array([values[a:b].mean() for a, b in zip(edges[:-1], edges[1:])])
-    stderr = float(bin_means.std(ddof=1) / math.sqrt(n_bins))
-    return float(values.mean()), stderr, n_bins
 
 
 def run_point(L: int, v: float, plan: SweepPlan, workers: int = 1) -> PointRow:

@@ -83,10 +83,6 @@ class ChainSpec:
                     gam[i] += self.coupling * sig.eval(t)
         return gam
 
-    def with_signals(self, signals, coupling: float) -> "ChainSpec":
-        return ChainSpec(self.size, self.bond_coupling, self.base_field,
-                         coupling, tuple(signals))
-
 
 @dataclass
 class BdgModes:

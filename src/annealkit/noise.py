@@ -51,12 +51,6 @@ class NoiseSpectrum:
         if int(self.n_modes) < 1:
             raise ParameterError(f"n_modes must be >= 1, got {self.n_modes}")
 
-    def density(self, omega):
-        """S(omega), the gamma(1-p, omega0) probability density."""
-        from scipy.stats import gamma as gamma_dist
-
-        return gamma_dist.pdf(omega, a=1.0 - self.p, scale=self.omega0)
-
 
 @dataclass(frozen=True)
 class NoiseSignal:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import FitConvergenceError, ParameterError
 
-_LOG_BOUND = 46.0  # |ln param| bound; keeps trf iterations finite
+_LOG_BOUND = 46.0  # |ln param| bound; keeps the iterates finite
 
 
 @dataclass(frozen=True)
@@ -292,7 +292,7 @@ def _flag_degenerate(fit: PowerLawFit, datasets):
 
 
 def fit_single(v, f, sigma, size=None, max_iterations=2000) -> PowerLawFit:
-    """Weighted fit of one dataset; damped linearization over log-parameters."""
+    """Weighted fit of one dataset; Levenberg-Marquardt over log-parameters."""
     v = np.asarray(v, float)
     f = np.asarray(f, float)
     sigma = np.asarray(sigma, float)

@@ -9,6 +9,7 @@ appear here (sidecar metadata only).
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Iterable, Sequence
 
@@ -78,29 +79,57 @@ class Table:
 
 
 def read_table(path) -> Table:
+    """Parse a table; malformed content raises SchemaError."""
     meta = {}
     columns = None
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, value = body.partition(":")
-                    meta[key.strip()] = value.strip()
-                continue
-            if columns is None:
-                columns = line.split()
-                continue
-            parts = line.split()
-            if len(parts) != len(columns):
-                raise SchemaError(f"row width {len(parts)} != header width "
-                                  f"{len(columns)} in {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if ":" in body:
+                key, _, value = body.partition(":")
+                meta[key.strip()] = value.strip()
+            continue
+        if columns is None:
+            columns = line.split()
+            continue
+        parts = line.split()
+        if len(parts) != len(columns):
+            raise SchemaError(f"row width {len(parts)} != header width "
+                              f"{len(columns)} in {path}")
+        try:
             rows.append([float(p) for p in parts])
+        except ValueError:
+            raise SchemaError(f"non-numeric entry in {path}: {line!r}") from None
     if columns is None:
         raise SchemaError(f"{path} has no column header line")
     data = np.array(rows, dtype=float) if rows else np.empty((0, len(columns)))
     return Table(meta, columns, data)
+
+
+def read_document(path, schema: str | None = None) -> dict:
+    """Load a JSON object, checking its schema tag when one is given;
+    malformed content raises SchemaError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # invalid JSON or undecodable bytes
+        raise SchemaError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict) or \
+            (schema is not None and doc.get("schema") != schema):
+        raise SchemaError(f"{path} is not a {schema or 'JSON object'} document")
+    return doc
+
+
+def write_document(path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")

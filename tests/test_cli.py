@@ -298,3 +298,82 @@ class TestOracleCheckVerb:
                          "--set", "oracle_check.n_cases=3",
                          "--set", "oracle_check.anneal_time=5.0"]) == 0
         assert "PASSED" in capsys.readouterr().out
+
+
+class TestSimulateSidecar:
+    def test_stopped_sweep_keeps_sidecar(self, tmp_path, monkeypatch):
+        from annealkit import ensemble
+
+        class Stop(Exception):
+            pass
+
+        real_point = ensemble.run_point
+        calls = []
+
+        def stop_after_first(*args, **kwargs):
+            if calls:
+                raise Stop
+            calls.append(args)
+            return real_point(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "run_point", stop_after_first)
+        cfg = write_config(tmp_path, {
+            "output_dir": str(tmp_path),
+            "simulate": {"sizes": [4], "velocities": [0.2, 0.5],
+                         "noise_mode": "none", "output": "t.tsv"}})
+        with pytest.raises(Stop):
+            cli.main(["simulate", "--config", cfg])
+        table = read_table(tmp_path / "t.tsv")
+        assert len(table) == 1
+        sidecar = json.loads((tmp_path / "t.tsv.meta.json").read_text())
+        assert sidecar["plan_digest"] == table.meta["plan_digest"]
+        assert "failures" not in sidecar  # the grid did not finish
+
+    def test_refused_resume_leaves_sidecar_alone(self, tmp_path):
+        doc = {"output_dir": str(tmp_path),
+               "simulate": {"sizes": [4], "velocities": [0.5],
+                            "noise_mode": "none", "output": "t.tsv"}}
+        assert cli.main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+        before = (tmp_path / "t.tsv.meta.json").read_bytes()
+        doc["simulate"]["rtol"] = 1e-6  # another plan digest
+        assert cli.main(["simulate", "--config", write_config(tmp_path, doc)]) == 1
+        assert (tmp_path / "t.tsv.meta.json").read_bytes() == before
+
+
+class TestCollapseSharesFitWriter:
+    def test_fit_and_collapse_write_identical_tables(self, tmp_path):
+        path = TestFitVerbs.synthetic_table(tmp_path)
+        section = {"input": str(path), "output_prefix": "same"}
+        fit_dir, collapse_dir = tmp_path / "fit", tmp_path / "collapse"
+        cfg = write_config(tmp_path, {"output_dir": str(fit_dir),
+                                      "fit": section})
+        assert cli.main(["fit", "--config", cfg]) == 0
+        cfg = write_config(tmp_path, {
+            "output_dir": str(collapse_dir),
+            "collapse": dict(section,
+                             fit_summary=str(fit_dir / "same_summary.json"))},
+            name="c.json")
+        assert cli.main(["collapse", "--config", cfg]) == 0
+        for name in ("same_rescaled.tsv", "same_master.tsv"):
+            fitted = read_table(fit_dir / name)
+            collapsed = read_table(collapse_dir / name)
+            assert fitted.columns == collapsed.columns
+            assert fitted.data.tobytes() == collapsed.data.tobytes()
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy.optimize alone takes ~0.6 s to import; every verb pays for
+    what `annealkit.cli` imports at start-up, so scipy stays lazy."""
+    import os
+    import subprocess
+    import sys
+
+    import annealkit
+
+    src = os.path.dirname(os.path.dirname(annealkit.__file__))
+    code = ("import sys, annealkit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,0 +1,264 @@
+"""Malformed input files and configs end in SchemaError / ConfigError.
+
+Through the CLI every such case exits with code 1 and a one-line
+'error:' message; the property tests feed the parsers arbitrary bytes
+and the validator arbitrary JSON values.
+"""
+
+import json
+import struct
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from annealkit import cli
+from annealkit.chimera import (N_QUBITS, SAMPLES_MAGIC, build_embedding,
+                               read_coupler_list, read_samples,
+                               synthesize_samples, write_samples)
+from annealkit.config import validate_config
+from annealkit.errors import ConfigError, SchemaError
+from annealkit.tables import read_table
+
+
+def write_config(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def assert_clean_exit(capsys, argv):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.fixture
+def device_files(tmp_path):
+    """Valid one-tile coupler list, logical map and text samples."""
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path),
+        "embed": {"L": 4, "tiled": False, "output_prefix": "emb"}})
+    assert cli.main(["embed", "--config", cfg]) == 0
+    emb = build_embedding(4)
+    write_samples(tmp_path / "samples.txt", synthesize_samples(emb, 2))
+    return {"samples": str(tmp_path / "samples.txt"),
+            "couplers": str(tmp_path / "emb.couplers.txt"),
+            "logical_map": str(tmp_path / "emb.map.json")}
+
+
+def run_decode(tmp_path, capsys, files):
+    cfg = write_config(tmp_path, {"output_dir": str(tmp_path),
+                                  "decode": files})
+    assert_clean_exit(capsys, ["decode", "--config", cfg])
+
+
+class TestMalformedFilesExitCleanly:
+    @pytest.mark.parametrize("content", [
+        b"# schema: ensemble-curve/1\nL v delta_e_mean delta_e_stderr\n"
+        b"32 0.1 abc 0.01\n",
+        b"L v\n\xff\xfe 0.1\n",
+    ], ids=["non_numeric_token", "non_utf8_bytes"])
+    def test_fit_input_table(self, tmp_path, capsys, content):
+        path = tmp_path / "curve.tsv"
+        path.write_bytes(content)
+        with pytest.raises(SchemaError):
+            read_table(path)
+        cfg = write_config(tmp_path, {"output_dir": str(tmp_path),
+                                      "fit": {"input": str(path)}})
+        assert_clean_exit(capsys, ["fit", "--config", cfg])
+
+    def test_truncated_binary_samples(self, tmp_path, capsys, device_files):
+        path = tmp_path / "samples.bin"
+        path.write_bytes(SAMPLES_MAGIC + struct.pack("<II", N_QUBITS, 3)
+                         + b"\x01" * (N_QUBITS + 5))
+        with pytest.raises(SchemaError):
+            read_samples(path)
+        run_decode(tmp_path, capsys, dict(device_files, samples=str(path)))
+
+    def test_truncated_binary_header(self, tmp_path):
+        path = tmp_path / "samples.bin"
+        path.write_bytes(SAMPLES_MAGIC + b"\x00\x08")
+        with pytest.raises(SchemaError):
+            read_samples(path)
+
+    def test_huge_run_count_is_refused_before_reading(self, tmp_path):
+        path = tmp_path / "samples.bin"
+        path.write_bytes(SAMPLES_MAGIC + struct.pack("<II", N_QUBITS,
+                                                     2 ** 32 - 1))
+        with pytest.raises(SchemaError):
+            read_samples(path)
+
+    def test_non_numeric_text_sample(self, tmp_path, capsys, device_files):
+        path = tmp_path / "samples.txt"
+        path.write_text("# schema: sample-set/1\n1 -1 x 1\n")
+        with pytest.raises(SchemaError):
+            read_samples(path)
+        run_decode(tmp_path, capsys, dict(device_files, samples=str(path)))
+
+    def test_coupler_row_of_wrong_width(self, tmp_path, capsys, device_files):
+        path = tmp_path / "emb.couplers.txt"
+        path.write_text(path.read_text() + "0 4 -1.0 7\n")
+        with pytest.raises(SchemaError):
+            read_coupler_list(path)
+        run_decode(tmp_path, capsys, device_files)
+
+    def test_non_integer_qubit_index(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("# schema: coupler-list/1\nq1 q2 J\n0.5 4 -1.0\n")
+        with pytest.raises(SchemaError):
+            read_coupler_list(path)
+
+    def test_coupler_on_unowned_qubit(self, tmp_path, capsys, device_files):
+        path = tmp_path / "emb.couplers.txt"
+        path.write_text(path.read_text() + "2046 2047 -0.25\n")
+        run_decode(tmp_path, capsys, device_files)
+
+    @pytest.mark.parametrize("content", ["[1, 2]", "{broken", "\udcff"],
+                             ids=["not_an_object", "bad_json", "non_utf8"])
+    def test_bad_fit_summary(self, tmp_path, capsys, content):
+        table = tmp_path / "curve.tsv"
+        table.write_text("L v delta_e_mean delta_e_stderr\n")
+        summary = tmp_path / "summary.json"
+        summary.write_bytes(content.encode("utf-8", "surrogateescape"))
+        cfg = write_config(tmp_path, {
+            "output_dir": str(tmp_path),
+            "collapse": {"input": str(table), "fit_summary": str(summary)}})
+        assert_clean_exit(capsys, ["collapse", "--config", cfg])
+
+
+class TestConfigShape:
+    def test_non_object_section(self, tmp_path, capsys):
+        with pytest.raises(ConfigError):
+            validate_config({"simulate": 5})
+        cfg = write_config(tmp_path, {"simulate": 5})
+        assert_clean_exit(capsys, ["simulate", "--config", cfg])
+
+    def test_root_schema_is_not_a_section(self):
+        with pytest.raises(ConfigError):
+            validate_config({"": {"workers": 3}})
+
+    @pytest.mark.parametrize("span", [
+        {"min": 1e-3, "max": 0.1},
+        {"max": 0.1, "count": 4},
+        {"min": 1e-3, "count": 4},
+        {"min": 0.1, "max": 1e-3, "count": 4},
+        {"min": 0.0, "max": 0.1, "count": 4},
+        {"min": 1e-3, "max": 0.1, "count": 0},
+    ])
+    def test_incomplete_or_empty_velocity_range(self, tmp_path, capsys, span):
+        doc = {"output_dir": str(tmp_path),
+               "simulate": {"sizes": [4], "velocities": span,
+                            "noise_mode": "none"}}
+        with pytest.raises(ConfigError):
+            validate_config(doc)
+        assert_clean_exit(capsys, ["simulate", "--config",
+                                   write_config(tmp_path, doc)])
+
+
+# ---------------------------------------------------------------------------
+# property tests
+# ---------------------------------------------------------------------------
+
+# derandomized: the suite gives the same verdict on every run
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.too_slow])
+
+_TEXT_TOKENS = st.sampled_from([
+    "# schema: coupler-list/1\n", "# schema: sample-set/1\n", "# n: 3\n",
+    "q1 q2 J\n", "L v x\n", "1", "-1", "0", "4", "2047", "2048", "-0.5",
+    "1e999", "nan", "inf", "0.5", "abc", "#", ":", " ", "\t", "\n", "\r\n",
+    "\r", "\x00", "é", "٣"])
+
+_TEXTISH = st.lists(_TEXT_TOKENS, max_size=40).map(
+    lambda parts: "".join(parts).encode("utf-8"))
+
+_BINARY_SAMPLES = st.builds(
+    lambda n_qubits, n_runs, body: (SAMPLES_MAGIC
+                                    + struct.pack("<II", n_qubits, n_runs)
+                                    + body),
+    st.sampled_from([N_QUBITS, 7, 0]),
+    st.one_of(st.integers(0, 3), st.integers(0, 2 ** 32 - 1)),
+    st.one_of(st.binary(max_size=64),
+              st.sampled_from([b"\x01" * N_QUBITS,
+                               (b"\x01\xff" * N_QUBITS)[:N_QUBITS],
+                               b"\x01" * (2 * N_QUBITS)])))
+
+_ANY_BYTES = st.one_of(st.binary(max_size=200), _TEXTISH)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@FUZZ
+@given(content=_ANY_BYTES)
+def test_read_table_raises_only_schema_error(fuzz_file, content):
+    fuzz_file.write_bytes(content)
+    try:
+        table = read_table(fuzz_file)
+    except SchemaError:
+        return
+    assert table.data.shape == (len(table), len(table.columns))
+
+
+@FUZZ
+@given(content=st.one_of(_ANY_BYTES, _BINARY_SAMPLES))
+def test_read_samples_raises_only_schema_error(fuzz_file, content):
+    fuzz_file.write_bytes(content)
+    try:
+        samples = read_samples(fuzz_file)
+    except SchemaError:
+        return
+    assert samples.values.shape[1] == N_QUBITS
+
+
+@FUZZ
+@given(content=_ANY_BYTES)
+def test_read_coupler_list_raises_only_schema_error(fuzz_file, content):
+    fuzz_file.write_bytes(content)
+    try:
+        meta, rows = read_coupler_list(fuzz_file)
+    except SchemaError:
+        return
+    assert all(isinstance(q1, int) and isinstance(q2, int)
+               for q1, q2, _ in rows)
+
+
+def _json_containers(children):
+    return st.one_of(st.lists(children, max_size=4),
+                     st.dictionaries(st.text(max_size=8), children,
+                                     max_size=4))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    _json_containers, max_leaves=20)
+
+_SECTION_NAMES = st.sampled_from([
+    "master_seed", "output_dir", "workers", "simulate", "qubit", "fit",
+    "collapse", "kzm", "embed", "decode", "aggregate", "oracle_check"])
+_SECTION_KEYS = st.sampled_from([
+    "sizes", "velocities", "spectrum", "defects", "min", "max", "count",
+    "n_modes", "p", "input", "L", "qubits", "output"])
+_CONFIGISH = st.dictionaries(
+    _SECTION_NAMES,
+    _JSON | st.dictionaries(_SECTION_KEYS,
+                            _JSON | st.dictionaries(_SECTION_KEYS, _JSON,
+                                                    max_size=4),
+                            max_size=4),
+    max_size=4)
+
+
+@FUZZ
+@given(doc=st.one_of(_JSON, _CONFIGISH))
+def test_validate_config_raises_only_config_error(doc):
+    try:
+        clean = validate_config(doc)
+    except ConfigError:
+        return
+    assert isinstance(clean, dict)
