@@ -205,7 +205,6 @@ class _Rhs:
         self.base = chain.base_field
         self.coupling = chain.coupling
         self.bank = SignalBank(chain.signals or [None] * chain.size, chain.size)
-        self.n_calls = 0
 
     def gamma2(self, t: float) -> np.ndarray:
         s = t / self.T
@@ -214,7 +213,6 @@ class _Rhs:
         return 2.0 * g
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        self.n_calls += 1
         L = self.L
         s = t / self.T
         j2 = 2.0 * self.bond(s)
@@ -238,6 +236,9 @@ def _integrate(rhs: _Rhs, y0: np.ndarray, t0: float, t1: float,
     stepper = DOP853(rhs, t0, y0, t_bound=t1, rtol=rtol, atol=atol)
     while stepper.status == "running":
         stepper.step()
+    # the solver's `fun` closures refer back to it: cut them so its stage
+    # arrays are freed on return, not at the next full cyclic collection
+    stepper.fun = stepper.fun_vectorized = None
     if stepper.status != "finished":
         raise IntegrationAbort("mode evolution stalled", t=stepper.t,
                                step=float(getattr(stepper, "h_abs", np.nan)))

@@ -5,10 +5,13 @@ annihilator realizing the module's convention in the spin basis is
 c_i = (prod_{j<i} sigma^x_j) (sigma^z - i sigma^y)_i / 2.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from annealkit import ed
+from annealkit import ed, fermion
 from annealkit.errors import ParameterError
 from annealkit.fermion import (BdgModes, ChainSpec, _Rhs, bdg_matrices,
                                correlations, energy_expectation, evolve,
@@ -181,6 +184,28 @@ class TestEvolution:
         de = {T: residual_energy(correlations(evolve(modes, chain, T=T)))
               for T in (1.0, 100.0, 10_000.0)}
         assert de[10_000.0] < de[100.0] < de[1.0]
+
+    def test_solver_freed_on_return(self, monkeypatch):
+        # reference counting alone must release the stepper and its stage
+        # arrays, so peak memory does not depend on when the cyclic
+        # collector happens to run
+        made = []
+
+        class Recorded(fermion.DOP853):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(fermion, "DOP853", Recorded)
+        chain = ChainSpec(size=4)
+        modes = ground_state(*bdg_matrices(chain, 0.0))
+        gc.disable()
+        try:
+            evolve(modes, chain, T=1.0)
+            alive = [ref() is not None for ref in made]
+        finally:
+            gc.enable()
+        assert alive == [False]
 
     def test_checkpoint_times_must_be_sorted(self):
         chain = ChainSpec(size=4)
