@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .errors import ParameterError, SchemaError
 from .scaling import PowerLawFit, fit_global, master_curve, optimum, rescale
-from .tables import Table
+from .tables import Table, require_fields
 
 FIT_SUMMARY_SCHEMA = "fit-summary/1"
 PLATEAU_MODES = ("energy_1d", "none")
@@ -141,7 +141,13 @@ def fit_table(table: Table, observable: str = "delta_e",
 def rescaled_rows(summary: dict, datasets: dict):
     """(L, v, u, g, g_err) rows collapsing every dataset, rescaled by the
     per-size minima of a fit summary document."""
-    by_size = {entry["L"]: entry for entry in summary["per_size"]}
+    require_fields(summary, {"alpha": float, "beta": float,
+                             "per_size": list}, "fit summary")
+    by_size = {}
+    for entry in summary["per_size"]:
+        require_fields(entry, {"L": int, "v_min": float, "f_min": float},
+                       "fit summary per_size entry")
+        by_size[entry["L"]] = entry
     rows = []
     for size, (v, f, s) in datasets.items():
         if size not in by_size:

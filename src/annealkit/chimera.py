@@ -34,7 +34,8 @@ from . import __version__
 from .analysis import bin_stats
 from .errors import ParameterError, SchemaError
 from .seeds import stream
-from .tables import read_document, read_table, write_document
+from .tables import (read_document, read_table, require_fields,
+                     write_document)
 
 GRID = 16                 # cells per side
 CELL = 8                  # qubits per cell
@@ -514,13 +515,30 @@ def write_logical_map(path, emb: Embedding) -> None:
     write_document(path, doc)
 
 
+def _int_list(value, length: int, bound: Optional[int]) -> bool:
+    """Whether value is a list of `length` ints, each in [0, bound) if given."""
+    return isinstance(value, list) and len(value) == length and all(
+        isinstance(q, int) and not isinstance(q, bool)
+        and (bound is None or 0 <= q < bound) for q in value)
+
+
 def read_embedding(coupler_path, map_path) -> Embedding:
     """Rebuild an Embedding from its two emitted documents."""
     _, couplers = read_coupler_list(coupler_path)
-    doc = read_document(map_path, LOGICAL_MAP_SCHEMA)
+    doc = require_fields(read_document(map_path, LOGICAL_MAP_SCHEMA),
+                         {"tile_side": int, "j_ising": float, "j_hc": float,
+                          "placements": list, "sites": list}, str(map_path))
+    if not all(_int_list(p, 3, None) for p in doc["placements"]):
+        raise SchemaError(f"{map_path}: a placement is not [tile, x0, y0]")
     pairs, site_tile, vacancies = {}, {}, set()
     owner = {}
     for entry in doc["sites"]:
+        require_fields(entry, {"x": int, "y": int, "tile": int,
+                               "qubits": list, "vacancy": bool},
+                       f"{map_path} site entry")
+        if not _int_list(entry["qubits"], 2, N_QUBITS):
+            raise SchemaError(f"{map_path}: site qubits {entry['qubits']} "
+                              f"are not two qubit indices")
         site = (entry["x"], entry["y"])
         pairs[site] = tuple(entry["qubits"])
         site_tile[site] = entry["tile"]

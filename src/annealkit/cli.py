@@ -2,11 +2,13 @@
 
 Verbs: simulate, qubit, fit, collapse, kzm, embed, decode, aggregate,
 oracle-check.  A JSON configuration file drives each verb; --set
-key=value flags override individual keys, and ANNEALKIT_WORKERS /
-ANNEALKIT_OUTPUT_DIR override the worker count and output directory.
+key=value flags override individual keys, and --output-dir, --workers
+and --master-seed override the root keys of the same names.  The
+simulate and qubit sections pass straight to SweepPlan and QubitRun,
+which own their defaults.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 partial results.
+Exit codes: 0 success, 1 configuration error or unreadable input,
+2 numerical failure, 3 partial results.
 """
 
 from __future__ import annotations
@@ -37,10 +39,6 @@ EXIT_PARTIAL = 3
 
 def _effective_config(args) -> tuple:
     doc = load_config(args.config) if args.config else validate_config({})
-    if "ANNEALKIT_WORKERS" in os.environ:
-        doc["workers"] = int(os.environ["ANNEALKIT_WORKERS"])
-    if "ANNEALKIT_OUTPUT_DIR" in os.environ:
-        doc["output_dir"] = os.environ["ANNEALKIT_OUTPUT_DIR"]
     for assignment in args.set or []:
         apply_override(doc, assignment)
     if getattr(args, "output_dir", None):
@@ -65,13 +63,13 @@ def _sidecar(path: str, payload: dict) -> None:
     write_document(path + ".meta.json", payload)
 
 
-def _spectrum_from(section: dict) -> NoiseSpectrum:
-    return NoiseSpectrum(**section.get("spectrum", {}))
-
-
-def _require(doc: dict, section: str) -> dict:
+def _require(doc: dict, section: str, *keys: str) -> dict:
+    """The named section, which must hold every one of `keys`."""
     if section not in doc:
         raise ConfigError(f"config has no {section!r} section")
+    missing = [f"{section}.{key}" for key in keys if key not in doc[section]]
+    if missing:
+        raise ConfigError(f"config lacks required key(s) {', '.join(missing)}")
     return doc[section]
 
 
@@ -83,25 +81,18 @@ def cmd_simulate(args) -> int:
     from .ensemble import SweepPlan, run_sweep
 
     doc, digest = _effective_config(args)
-    sec = _require(doc, "simulate")
-    velocities = sec.get("velocities")
-    if isinstance(velocities, dict):
-        velocities = np.logspace(np.log10(velocities["min"]),
-                                 np.log10(velocities["max"]),
-                                 velocities["count"]).tolist()
-    plan = SweepPlan(
-        sizes=tuple(sec.get("sizes", ())),
-        velocities=None if velocities is None else tuple(sorted(velocities)),
-        n_realizations=sec.get("n_realizations", 100),
-        noise_mode=sec.get("noise_mode", "all"),
-        single_site=sec.get("single_site", 0),
-        spectrum=_spectrum_from(sec),
-        master_seed=doc["master_seed"],
-        rtol=sec.get("rtol", 1e-8),
-        atol=sec.get("atol", 1e-10),
-        n_bins=sec.get("n_bins", 20),
-    )
-    out = _outpath(doc, sec.get("output", "curve.tsv"))
+    sec = dict(_require(doc, "simulate", "sizes"))
+    output = sec.pop("output", "curve.tsv")
+    if "spectrum" in sec:
+        sec["spectrum"] = NoiseSpectrum(**sec["spectrum"])
+    span = sec.get("velocities")
+    if isinstance(span, dict):
+        span = np.logspace(np.log10(span["min"]), np.log10(span["max"]),
+                           span["count"]).tolist()
+    if span is not None:
+        sec["velocities"] = sorted(span)
+    plan = SweepPlan(master_seed=doc["master_seed"], **sec)
+    out = _outpath(doc, output)
     provenance = {"config_digest": digest, "plan_digest": plan.digest()}
 
     def progress(row):
@@ -125,18 +116,13 @@ def cmd_qubit(args) -> int:
     from .qubit import QubitRun, coherence_time, evolve_qubit
 
     doc, digest = _effective_config(args)
-    sec = doc.get("qubit", {})
-    run = QubitRun(
-        h_z=sec.get("h_z", 0.0),
-        spectrum=_spectrum_from(sec),
-        t_max=sec.get("t_max", 150.0),
-        dt_out=sec.get("dt_out", 0.5),
-        n_realizations=sec.get("n_realizations", 1000),
-        master_seed=doc["master_seed"],
-        rtol=sec.get("rtol", 1e-10),
-    )
+    sec = dict(doc.get("qubit", {}))
+    output = sec.pop("output", "purity.tsv")
+    if "spectrum" in sec:
+        sec["spectrum"] = NoiseSpectrum(**sec["spectrum"])
+    run = QubitRun(master_seed=doc["master_seed"], **sec)
     curve = evolve_qubit(run)
-    out = _outpath(doc, sec.get("output", "purity.tsv"))
+    out = _outpath(doc, output)
     write_table(out, ("t", "purity"), zip(curve.times, curve.purity),
                 {"schema": "purity-curve/1", "config_digest": digest,
                  "h_z": repr(run.h_z),
@@ -170,7 +156,7 @@ def _write_collapse(doc: dict, prefix: str, digest: str, summary: dict,
 
 def _cmd_fit_common(args, section: str) -> int:
     doc, digest = _effective_config(args)
-    sec = _require(doc, section)
+    sec = _require(doc, section, "input")
     table = read_table(sec["input"])
     observable = sec.get("observable", "delta_e")
     plateau_mode = sec.get("plateau_mode",
@@ -218,9 +204,7 @@ def cmd_kzm(args) -> int:
     from .scaling import KzmInput, kzm_exponent, lzm_exponent
 
     doc, _ = _effective_config(args)
-    sec = _require(doc, "kzm")
-    inp = KzmInput(d=sec["d"], z=sec["z"], nu=sec["nu"],
-                   kappa=sec.get("kappa", 0.0))
+    inp = KzmInput(**_require(doc, "kzm", "d", "z", "nu"))
     print(f"alpha_kzm = {kzm_exponent(inp):.6f}")
     print(f"alpha_lzm = {lzm_exponent(inp.z):.6f}")
     return EXIT_OK
@@ -231,8 +215,8 @@ def cmd_embed(args) -> int:
                           gauge_transform, tile_partition,
                           write_coupler_list, write_logical_map)
 
-    doc, digest = _effective_config(args)
-    sec = _require(doc, "embed")
+    doc, _ = _effective_config(args)
+    sec = _require(doc, "embed", "L")
     L = sec["L"]
     defects_doc = sec.get("defects", {})
     defects = DefectList(
@@ -250,15 +234,10 @@ def cmd_embed(args) -> int:
     prefix = sec.get("output_prefix", f"embedding_L{L}")
     cpath = _outpath(doc, f"{prefix}.couplers.txt")
     mpath = _outpath(doc, f"{prefix}.map.json")
-    tpath = _outpath(doc, f"{prefix}.tiles.json")
     write_coupler_list(cpath, emb)
     write_logical_map(mpath, emb)
-    write_document(tpath, {"schema": "tile-partition/1", "tile_side": emb.L,
-                           "placements": [[t.tile_id, t.x0, t.y0]
-                                          for t in emb.placements],
-                           "config_digest": digest})
     census = emb.census()
-    print(f"wrote {cpath}, {mpath}, {tpath}")
+    print(f"wrote {cpath} and {mpath}")
     print(f"couplers: {census['hc']} high-cost, {census['intra']} intra-cell, "
           f"{census['inter']} inter-cell; {len(emb.vacancies)} vacancies")
     return EXIT_OK
@@ -269,7 +248,7 @@ def cmd_decode(args) -> int:
                           read_embedding, read_samples)
 
     doc, digest = _effective_config(args)
-    sec = _require(doc, "decode")
+    sec = _require(doc, "decode", "samples", "couplers", "logical_map")
     samples = read_samples(sec["samples"])
     emb = read_embedding(sec["couplers"], sec["logical_map"])
     decoded = decode_samples(samples, emb,
@@ -289,7 +268,7 @@ def cmd_aggregate(args) -> int:
                           DECODED_SCHEMA, TileStats, aggregate_tiles)
 
     doc, digest = _effective_config(args)
-    sec = _require(doc, "aggregate")
+    sec = _require(doc, "aggregate", "input")
     table = read_table(sec["input"])
     if table.meta.get("schema") != DECODED_SCHEMA:
         raise SchemaError(f"{sec['input']} is not a {DECODED_SCHEMA} table")
@@ -396,7 +375,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SchemaError, ParameterError) as exc:
+    except (ConfigError, SchemaError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationAbort, FitConvergenceError, HorizonError) as exc:

@@ -31,8 +31,12 @@ Layout (all sections optional except the one the invoked verb needs):
                        "tolerance_evolved", "anneal_time"}
     }
 
-Unknown keys anywhere are rejected.  Flags override keys; every output
-file records the digest of the resolved configuration.
+Every key is declared once, in `_SCHEMA`.  Unknown keys anywhere are
+rejected; the keys a verb cannot run without (simulate.sizes, the
+input of fit, collapse and aggregate, kzm.d/z/nu, embed.L, the three
+decode paths) are named by that verb.  Defaults live with the objects
+that use them.  Flags override keys; every output file records the
+digest of the resolved configuration.
 """
 
 from __future__ import annotations
@@ -43,23 +47,22 @@ from typing import Any
 
 from .errors import ConfigError
 
-_SPECTRUM_KEYS = {
-    "p": float, "omega0": float, "coupling": float, "n_modes": int,
-}
+_SPECTRUM = {"p": float, "omega0": float, "coupling": float, "n_modes": int}
+_VELOCITY_RANGE = {"min": float, "max": float, "count": int}
 
-_SCHEMAS: dict[str, dict[str, Any]] = {
-    "": {
-        "master_seed": int,
-        "output_dir": str,
-        "workers": int,
-    },
+# A dict value is a nested object checked by the same rule; a tuple lists
+# alternatives.
+_SCHEMA: dict[str, Any] = {
+    "master_seed": int,
+    "output_dir": str,
+    "workers": int,
     "simulate": {
         "sizes": list,
-        "velocities": (list, dict),
+        "velocities": (list, _VELOCITY_RANGE),
         "n_realizations": int,
         "noise_mode": str,
         "single_site": int,
-        "spectrum": dict,
+        "spectrum": _SPECTRUM,
         "rtol": float,
         "atol": float,
         "n_bins": int,
@@ -70,7 +73,7 @@ _SCHEMAS: dict[str, dict[str, Any]] = {
         "t_max": float,
         "dt_out": float,
         "n_realizations": int,
-        "spectrum": dict,
+        "spectrum": _SPECTRUM,
         "rtol": float,
         "output": str,
     },
@@ -102,7 +105,7 @@ _SCHEMAS: dict[str, dict[str, Any]] = {
         "j_ising": float,
         "j_hc": float,
         "tiled": bool,
-        "defects": dict,
+        "defects": {"qubits": list, "couplers": list},
         "gauge": str,
         "output_prefix": str,
     },
@@ -127,9 +130,6 @@ _SCHEMAS: dict[str, dict[str, Any]] = {
     },
 }
 
-_VELOCITY_RANGE_KEYS = {"min": float, "max": float, "count": int}
-_DEFECT_KEYS = {"qubits": list, "couplers": list}
-
 DEFAULTS = {
     "master_seed": 1,
     "output_dir": ".",
@@ -137,68 +137,47 @@ DEFAULTS = {
 }
 
 
-def _check_type(path: str, value, expected) -> Any:
-    if expected is float and isinstance(value, (int, float)) \
+def _check(path: str, value, expected) -> Any:
+    """Checked copy of `value`; ints coerce to float where a float is due."""
+    if isinstance(expected, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'configuration root'}: expected an "
+                              f"object, got {type(value).__name__}")
+        out = {}
+        for key, item in value.items():
+            name = f"{path}.{key}" if path else key
+            if key not in expected:
+                raise ConfigError(f"unknown key {name!r}; allowed: "
+                                  f"{sorted(expected)}")
+            out[key] = _check(name, item, expected[key])
+        return out
+    if isinstance(expected, tuple):
+        problems = []
+        for alternative in expected:
+            try:
+                return _check(path, value, alternative)
+            except ConfigError as exc:
+                problems.append(str(exc))
+        raise ConfigError(" or ".join(problems))
+    if expected is float and isinstance(value, int) \
             and not isinstance(value, bool):
         return float(value)
-    if expected is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(expected, tuple):
-        for exp in expected:
-            try:
-                return _check_type(path, value, exp)
-            except ConfigError:
-                continue
-        raise ConfigError(f"{path}: expected one of {expected}, got "
-                          f"{type(value).__name__}")
-    if not isinstance(value, expected):
+    if not isinstance(value, expected) or \
+            (expected is not bool and isinstance(value, bool)):
         raise ConfigError(f"{path}: expected {expected.__name__}, got "
                           f"{type(value).__name__}")
     return value
 
 
-def _validate_section(name: str, section: dict, schema: dict) -> dict:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name.rstrip('.')}: expected an object, got "
-                          f"{type(section).__name__}")
-    out = {}
-    for key, value in section.items():
-        if key not in schema:
-            raise ConfigError(f"unknown key {name}{key!r}; allowed: "
-                              f"{sorted(schema)}")
-        out[key] = _check_type(f"{name}{key}", value, schema[key])
-    return out
-
-
 def validate_config(doc: dict) -> dict:
     """Reject unknown keys and coerce numeric types; returns a clean copy."""
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration root must be an object")
-    clean = dict(DEFAULTS)
-    for key, value in doc.items():
-        if key in _SCHEMAS[""]:
-            clean[key] = _check_type(key, value, _SCHEMAS[""][key])
-        elif key and key in _SCHEMAS:  # "" names the root schema
-            clean[key] = _validate_section(f"{key}.", value, _SCHEMAS[key])
-        else:
-            raise ConfigError(f"unknown section {key!r}; allowed: "
-                              f"{sorted(k for k in _SCHEMAS if k)}")
-    for key in ("simulate", "qubit"):
-        if key in clean and "spectrum" in clean[key]:
-            clean[key]["spectrum"] = _validate_section(
-                f"{key}.spectrum.", clean[key]["spectrum"], _SPECTRUM_KEYS)
-    if "simulate" in clean and isinstance(clean["simulate"].get("velocities"), dict):
-        span = _validate_section("simulate.velocities.",
-                                 clean["simulate"]["velocities"],
-                                 _VELOCITY_RANGE_KEYS)
-        if set(span) != set(_VELOCITY_RANGE_KEYS) or \
-                not 0 < span["min"] <= span["max"] or span["count"] < 1:
-            raise ConfigError("simulate.velocities range needs min, max and "
-                              "count with 0 < min <= max and count >= 1")
-        clean["simulate"]["velocities"] = span
-    if "embed" in clean and "defects" in clean["embed"]:
-        clean["embed"]["defects"] = _validate_section(
-            "embed.defects.", clean["embed"]["defects"], _DEFECT_KEYS)
+    clean = dict(DEFAULTS, **_check("", doc, _SCHEMA))
+    span = clean.get("simulate", {}).get("velocities")
+    if isinstance(span, dict) and (
+            set(span) != set(_VELOCITY_RANGE)
+            or not 0 < span["min"] <= span["max"] or span["count"] < 1):
+        raise ConfigError("simulate.velocities range needs min, max and "
+                          "count with 0 < min <= max and count >= 1")
     return clean
 
 

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import DOP853
 
-from .errors import CapacityError, IntegrationAbort, ParameterError
-from .fermion import ChainSpec
+from .errors import CapacityError, ParameterError
+from .fermion import ChainSpec, _integrate
 
 MAX_SITES = 12
 
@@ -101,14 +100,8 @@ def evolve_exact(initial: DenseState, chain: ChainSpec, T: float,
             h_psi -= gam[i] * psi[flips[i]]
         return -1j * h_psi
 
-    stepper = DOP853(rhs, 0.0, initial.amplitudes.astype(complex), t_bound=T,
-                     rtol=rtol, atol=atol)
-    while stepper.status == "running":
-        stepper.step()
-    if stepper.status != "finished":
-        raise IntegrationAbort("dense evolution stalled", t=stepper.t,
-                               step=float(getattr(stepper, "h_abs", np.nan)))
-    psi = stepper.y
+    psi = _integrate(rhs, initial.amplitudes.astype(complex), 0.0, T,
+                     rtol, atol)
     psi = psi / np.linalg.norm(psi)
     return DenseState(amplitudes=psi, size=L)
 

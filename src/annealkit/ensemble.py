@@ -66,8 +66,8 @@ class SweepPlan:
                                tuple(float(v) for v in self.velocities))
         if self.noise_mode not in NOISE_MODES:
             raise ParameterError(f"noise_mode must be one of {NOISE_MODES}")
-        if any(s < 2 for s in self.sizes):
-            raise ParameterError("all sizes must be >= 2")
+        if not self.sizes or any(s < 2 for s in self.sizes):
+            raise ParameterError("sizes must be a non-empty list of sizes >= 2")
         if self.velocities is not None:
             vs = self.velocities
             if any(v <= 0 for v in vs) or list(vs) != sorted(vs):

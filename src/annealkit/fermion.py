@@ -206,17 +206,12 @@ class _Rhs:
         self.coupling = chain.coupling
         self.bank = SignalBank(chain.signals or [None] * chain.size, chain.size)
 
-    def gamma2(self, t: float) -> np.ndarray:
-        s = t / self.T
-        g = self.base(s) + self.coupling * self.bank.eval_at(t) if self.bank.n_active \
-            else np.full(self.L, self.base(s))
-        return 2.0 * g
-
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         L = self.L
         s = t / self.T
         j2 = 2.0 * self.bond(s)
-        g2 = self.gamma2(t)
+        # a bank without signals evaluates to zeros, so base + 0.0 = base
+        g2 = 2.0 * (self.base(s) + self.coupling * self.bank.eval_at(t))
         w = y.reshape(2 * L, L)
         phi, psi = w[:L], w[L:]
         out = np.empty_like(w)
@@ -231,8 +226,9 @@ class _Rhs:
         return out.ravel()
 
 
-def _integrate(rhs: _Rhs, y0: np.ndarray, t0: float, t1: float,
+def _integrate(rhs: Callable, y0: np.ndarray, t0: float, t1: float,
                rtol: float, atol: float) -> np.ndarray:
+    """DOP853 from t0 to t1; the chain and the dense oracle both use it."""
     stepper = DOP853(rhs, t0, y0, t_bound=t1, rtol=rtol, atol=atol)
     while stepper.status == "running":
         stepper.step()
@@ -240,7 +236,7 @@ def _integrate(rhs: _Rhs, y0: np.ndarray, t0: float, t1: float,
     # arrays are freed on return, not at the next full cyclic collection
     stepper.fun = stepper.fun_vectorized = None
     if stepper.status != "finished":
-        raise IntegrationAbort("mode evolution stalled", t=stepper.t,
+        raise IntegrationAbort("evolution stalled", t=stepper.t,
                                step=float(getattr(stepper, "h_abs", np.nan)))
     return stepper.y
 

@@ -92,9 +92,6 @@ class NoiseSignal:
         arg = np.outer(times, self.omega) - self.phase
         return (np.cos(arg) @ self.amp) / np.sqrt(self.n_modes)
 
-    def __call__(self, t: float) -> float:
-        return self.eval(t)
-
 
 def sample_signal(spec: NoiseSpectrum, seed) -> NoiseSignal:
     """Draw a signal realization; reproducible from the seed.
@@ -148,10 +145,6 @@ class SignalBank:
         else:
             self._omega = None
         self._out = np.zeros(size)
-
-    @property
-    def n_active(self) -> int:
-        return len(self.active)
 
     def eval_at(self, t: float) -> np.ndarray:
         """eta_i(t) for i = 0..size-1 (zeros where no signal is attached)."""

@@ -91,6 +91,8 @@ class PowerLawFit:
     n_points: int = 0
 
     def _size_index(self, size) -> int:
+        if size is None and len(self.sizes) == 1:
+            return 0
         try:
             return self.sizes.index(size)
         except ValueError:
@@ -98,12 +100,12 @@ class PowerLawFit:
 
     def params_for(self, size=None):
         """(a, b, alpha, beta) for one dataset."""
-        j = 0 if size is None and len(self.sizes) == 1 else self._size_index(size)
+        j = self._size_index(size)
         return self.a[j], self.b[j], self.alpha, self.beta
 
     def sub_covariance(self, size=None) -> np.ndarray:
         """4x4 covariance of (a, b, alpha, beta) for one dataset."""
-        j = 0 if size is None and len(self.sizes) == 1 else self._size_index(size)
+        j = self._size_index(size)
         k = len(self.sizes)
         idx = [j, k + j, 2 * k, 2 * k + 1]
         return self.covariance[np.ix_(idx, idx)]
@@ -112,11 +114,11 @@ class PowerLawFit:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
     def a_error(self, size=None) -> float:
-        j = 0 if size is None and len(self.sizes) == 1 else self._size_index(size)
+        j = self._size_index(size)
         return self.errors()[j]
 
     def b_error(self, size=None) -> float:
-        j = 0 if size is None and len(self.sizes) == 1 else self._size_index(size)
+        j = self._size_index(size)
         return self.errors()[len(self.sizes) + j]
 
     @property
@@ -364,23 +366,12 @@ def prefactor_scaling(sizes, values, errors=None):
         raise ParameterError("sizes and values must be positive")
     x = np.log(sizes)
     y = np.log(values)
-    if errors is not None:
+    if errors is None:
+        coef, cov = np.polyfit(x, y, 1, cov=True)
+    else:
         errors = np.asarray(errors, float)
         if np.any(errors <= 0):
             raise ParameterError("errors must be positive")
-        w = (values / errors) ** 2  # var(log v) = (err/v)^2
-    else:
-        w = np.ones_like(y)
-    X = np.column_stack([np.ones_like(x), x])
-    XtW = X.T * w
-    cov = np.linalg.inv(XtW @ X)
-    coef = cov @ (XtW @ y)
-    slope = float(coef[1])
-    if errors is not None:
-        slope_err = float(np.sqrt(cov[1, 1]))
-    else:
-        resid = y - X @ coef
-        dof = len(y) - 2
-        s2 = float(resid @ resid) / dof if dof > 0 else 0.0
-        slope_err = float(np.sqrt(cov[1, 1] * s2))
-    return slope, slope_err
+        # polyfit weights are 1/sigma, and sigma(log v) = err/v
+        coef, cov = np.polyfit(x, y, 1, w=values / errors, cov="unscaled")
+    return float(coef[0]), float(np.sqrt(cov[0, 0]))

@@ -129,6 +129,25 @@ def read_document(path, schema: str | None = None) -> dict:
     return doc
 
 
+# a JSON number may be written without a fraction; a bool is never a number
+_JSON_TYPES = {int: int, float: (int, float), bool: bool, list: list}
+
+
+def require_fields(doc, fields: dict, where: str) -> dict:
+    """Check that `doc` is an object holding each key of `fields` with a
+    value of the mapped type (int, float, bool or list); anything missing
+    or ill-typed raises SchemaError naming `where`."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where} is not a JSON object")
+    for key, kind in fields.items():
+        value = doc.get(key)
+        if not isinstance(value, _JSON_TYPES[kind]) or \
+                (kind is not bool and isinstance(value, bool)):
+            raise SchemaError(f"{where}: {key!r} is missing or not "
+                              f"{kind.__name__}")
+    return doc
+
+
 def write_document(path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

@@ -5,6 +5,7 @@ Through the CLI every such case exits with code 1 and a one-line
 and the validator arbitrary JSON values.
 """
 
+import dataclasses
 import json
 import struct
 
@@ -13,11 +14,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from annealkit import cli
+from annealkit.analysis import rescaled_rows
 from annealkit.chimera import (N_QUBITS, SAMPLES_MAGIC, build_embedding,
-                               read_coupler_list, read_samples,
-                               synthesize_samples, write_samples)
-from annealkit.config import validate_config
-from annealkit.errors import ConfigError, SchemaError
+                               read_coupler_list, read_embedding,
+                               read_samples, synthesize_samples,
+                               write_samples)
+from annealkit.config import _SCHEMA, validate_config
+from annealkit.ensemble import SweepPlan
+from annealkit.errors import ConfigError, ParameterError, SchemaError
+from annealkit.noise import NoiseSpectrum
+from annealkit.qubit import QubitRun
 from annealkit.tables import read_table
 
 
@@ -156,6 +162,130 @@ class TestConfigShape:
             validate_config(doc)
         assert_clean_exit(capsys, ["simulate", "--config",
                                    write_config(tmp_path, doc)])
+
+
+class TestRequiredKeys:
+    @pytest.mark.parametrize("verb, doc", [
+        ("simulate", {"simulate": {"velocities": [0.5], "noise_mode": "none"}}),
+        ("simulate", {"simulate": {"sizes": [], "velocities": [0.5],
+                                   "noise_mode": "none"}}),
+        ("fit", {"fit": {"output_prefix": "f"}}),
+        ("collapse", {"collapse": {"fit_summary": "summary.json"}}),
+        ("kzm", {"kzm": {"z": 1, "nu": 1}}),
+        ("kzm", {"kzm": {"d": 1, "nu": 1}}),
+        ("kzm", {"kzm": {"d": 1, "z": 1}}),
+        ("embed", {"embed": {"tiled": False}}),
+        ("decode", {"decode": {"couplers": "c.txt", "logical_map": "m.json"}}),
+        ("decode", {"decode": {"samples": "s.txt", "logical_map": "m.json"}}),
+        ("decode", {"decode": {"samples": "s.txt", "couplers": "c.txt"}}),
+        ("aggregate", {"aggregate": {"output": "curve.tsv"}}),
+    ], ids=["simulate_sizes", "simulate_empty_sizes", "fit_input",
+            "collapse_input", "kzm_d", "kzm_z", "kzm_nu", "embed_L",
+            "decode_samples", "decode_couplers", "decode_logical_map",
+            "aggregate_input"])
+    def test_missing_key_exits_cleanly(self, tmp_path, capsys, verb, doc):
+        cfg = write_config(tmp_path, dict(doc, output_dir=str(tmp_path)))
+        assert_clean_exit(capsys, [verb, "--config", cfg])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_empty_sizes_rejected_by_plan(self):
+        with pytest.raises(ParameterError):
+            SweepPlan(sizes=())
+
+    def test_run_sections_name_only_dataclass_fields(self):
+        """simulate/qubit sections pass straight to their dataclasses."""
+        for section, cls in (("simulate", SweepPlan), ("qubit", QubitRun)):
+            fields = {f.name for f in dataclasses.fields(cls)}
+            assert set(_SCHEMA[section]) - {"output"} <= fields
+            assert set(_SCHEMA[section]["spectrum"]) <= \
+                {f.name for f in dataclasses.fields(NoiseSpectrum)}
+
+
+class TestMissingOrHollowInputs:
+    @pytest.mark.parametrize("verb", ["fit", "aggregate"])
+    def test_missing_input_file(self, tmp_path, capsys, verb):
+        cfg = write_config(tmp_path, {
+            "output_dir": str(tmp_path),
+            verb: {"input": str(tmp_path / "nope.tsv")}})
+        assert_clean_exit(capsys, [verb, "--config", cfg])
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: {"schema": doc["schema"]},
+        lambda doc: dict(doc, tile_side="4"),
+        lambda doc: dict(doc, placements=[[0, 0]]),
+        lambda doc: dict(doc, sites=[{k: v for k, v in site.items()
+                                      if k != "qubits"}
+                                     for site in doc["sites"]]),
+        lambda doc: dict(doc, sites=[dict(site, vacancy=0)
+                                     for site in doc["sites"]]),
+        lambda doc: dict(doc, sites=[5]),
+    ], ids=["no_entries", "tile_side_text", "short_placement",
+            "site_without_qubits", "vacancy_not_bool", "site_not_object"])
+    def test_hollow_logical_map(self, tmp_path, capsys, device_files, edit):
+        path = tmp_path / "emb.map.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(SchemaError):
+            read_embedding(device_files["couplers"], path)
+        run_decode(tmp_path, capsys, device_files)
+
+    def test_qubit_off_chip(self, tmp_path, capsys, device_files):
+        """Map and couplers agree on a qubit index the chip does not have."""
+        def renumber(q):
+            return str(N_QUBITS) if q == "0" else q
+
+        cpath = tmp_path / "emb.couplers.txt"
+        lines = []
+        for line in cpath.read_text().splitlines():
+            parts = line.split()
+            if parts[0].isdigit():
+                parts[:2] = map(renumber, parts[:2])
+            lines.append(" ".join(parts))
+        cpath.write_text("\n".join(lines) + "\n")
+        mpath = tmp_path / "emb.map.json"
+        doc = json.loads(mpath.read_text())
+        for site in doc["sites"]:
+            site["qubits"] = [int(renumber(str(q))) for q in site["qubits"]]
+        mpath.write_text(json.dumps(doc))
+        (tmp_path / "samples.txt.meta.json").unlink()  # no coupler digest
+        with pytest.raises(SchemaError):
+            read_embedding(cpath, mpath)
+        run_decode(tmp_path, capsys, device_files)
+
+    @pytest.mark.parametrize("summary", [
+        {},
+        {"alpha": 0.5, "beta": 1.0},
+        {"alpha": "0.5", "beta": 1.0,
+         "per_size": [{"L": 4, "v_min": 0.1, "f_min": 0.5}]},
+        {"alpha": 0.5, "beta": 1.0, "per_size": [{"L": 4, "v_min": 0.1}]},
+        {"alpha": 0.5, "beta": 1.0, "per_size": [[4, 0.1, 1.0]]},
+    ], ids=["no_entries", "no_per_size", "alpha_text", "entry_without_f_min",
+            "entry_not_object"])
+    def test_hollow_fit_summary(self, tmp_path, capsys, summary):
+        table = tmp_path / "curve.tsv"
+        table.write_text("L v delta_e_mean delta_e_stderr\n"
+                         "4 0.1 0.5 0.01\n4 0.2 0.6 0.01\n")
+        summary = dict(summary, schema="fit-summary/1")
+        with pytest.raises(SchemaError):
+            rescaled_rows(summary, {4: ([0.1], [0.5], [0.01])})
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(summary))
+        cfg = write_config(tmp_path, {
+            "output_dir": str(tmp_path),
+            "collapse": {"input": str(table), "fit_summary": str(path)}})
+        assert_clean_exit(capsys, ["collapse", "--config", cfg])
+
+
+def test_environment_does_not_override_config(tmp_path, monkeypatch):
+    """Workers and output directory come from config, --set and flags only."""
+    monkeypatch.setenv("ANNEALKIT_WORKERS", "two")
+    monkeypatch.setenv("ANNEALKIT_OUTPUT_DIR", str(tmp_path / "elsewhere"))
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path / "out"),
+        "embed": {"L": 4, "tiled": False, "output_prefix": "emb"}})
+    assert cli.main(["embed", "--config", cfg]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+        ["emb.couplers.txt", "emb.map.json"]
+    assert not (tmp_path / "elsewhere").exists()
 
 
 # ---------------------------------------------------------------------------
