@@ -14,9 +14,9 @@
 # script exits non-zero if any verb did.
 #
 # Measured cost on 2 cores with one BLAS thread per process:
-#   qubit_hz0, qubit_hz0_twin  ~0.15 core-hour each
-#   qubit_hz01                 ~1.25 core-hours
-#   qubit_hz02                 ~2.5 core-hours (the qubit stage's wall time)
+#   qubit_hz0, qubit_hz0_twin  ~2 s each
+#   qubit_hz01                 ~3 min
+#   qubit_hz02                 ~10 min (the qubit stage's wall time)
 #   sweep_allsites             ~11.9 core-hours for the 14 points the
 #                              committed table lacks
 #   sweep_single               ~16.5 core-hours

@@ -102,6 +102,8 @@ class DefectList:
     couplers: frozenset = frozenset()  # of sorted (q1, q2) tuples
 
     def __post_init__(self):
+        if any(len(c) != 2 for c in self.couplers):
+            raise ParameterError("a defect coupler must name two qubits")
         object.__setattr__(self, "qubits", frozenset(int(q) for q in self.qubits))
         object.__setattr__(
             self, "couplers",
@@ -560,6 +562,9 @@ def read_embedding(coupler_path, map_path) -> Embedding:
             raise SchemaError(f"coupler ({q1}, {q2}) touches a qubit that no "
                               f"site of {map_path} owns")
         s1, s2 = owner[q1], owner[q2]
+        if site_tile[s1] != site_tile[s2]:
+            raise SchemaError(f"coupler ({q1}, {q2}) joins sites of tiles "
+                              f"{site_tile[s1]} and {site_tile[s2]}")
         bond = (s1, s2) if (s1 < s2) else (s2, s1)
         bond_map.setdefault(bond, []).append((q1, q2, val))
     bonds = {bond: tuple(sorted(cs)) for bond, cs in bond_map.items()}

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from datetime import datetime, timezone
 
 import numpy as np
@@ -113,7 +114,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_qubit(args) -> int:
-    from .qubit import QubitRun, coherence_time, evolve_qubit
+    from .qubit import ENGINE, QubitRun, coherence_time, evolve_qubit
 
     doc, digest = _effective_config(args)
     sec = dict(doc.get("qubit", {}))
@@ -121,21 +122,29 @@ def cmd_qubit(args) -> int:
     if "spectrum" in sec:
         sec["spectrum"] = NoiseSpectrum(**sec["spectrum"])
     run = QubitRun(master_seed=doc["master_seed"], **sec)
+    start = time.perf_counter()
     curve = evolve_qubit(run)
     out = _outpath(doc, output)
     write_table(out, ("t", "purity"), zip(curve.times, curve.purity),
                 {"schema": "purity-curve/1", "config_digest": digest,
                  "h_z": repr(run.h_z),
                  "n_realizations": run.n_realizations})
+    summary = {"config_digest": digest, "engine": ENGINE,
+               "substeps_per_dt_out": curve.substeps,
+               "purity_error_estimate": curve.error_estimate,
+               "trace_defect": curve.trace_defect,
+               "hermiticity_defect": curve.hermiticity_defect,
+               "min_eigenvalue": curve.min_eigenvalue,
+               "wall_s": round(time.perf_counter() - start, 3)}
     try:
         t_r = coherence_time(curve)
     except HorizonError as exc:
-        _sidecar(out, {"config_digest": digest, "coherence_time": None,
-                       "final_purity": exc.final_purity})
+        _sidecar(out, dict(summary, coherence_time=None,
+                           final_purity=exc.final_purity))
         print(f"wrote {out}; purity never reached 3/4 "
               f"(final {exc.final_purity:.4f}); extend t_max")
         return EXIT_NUMERICAL
-    _sidecar(out, {"config_digest": digest, "coherence_time": t_r})
+    _sidecar(out, dict(summary, coherence_time=t_r))
     print(f"wrote {out}")
     print(f"coherence_time T_r = {t_r:.4f}")
     return EXIT_OK

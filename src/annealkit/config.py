@@ -50,15 +50,16 @@ from .errors import ConfigError
 _SPECTRUM = {"p": float, "omega0": float, "coupling": float, "n_modes": int}
 _VELOCITY_RANGE = {"min": float, "max": float, "count": int}
 
-# A dict value is a nested object checked by the same rule; a tuple lists
+# A dict value is a nested object checked by the same rule, a one-item list
+# a list whose every element has that item's type; a tuple lists
 # alternatives.
 _SCHEMA: dict[str, Any] = {
     "master_seed": int,
     "output_dir": str,
     "workers": int,
     "simulate": {
-        "sizes": list,
-        "velocities": (list, _VELOCITY_RANGE),
+        "sizes": [int],
+        "velocities": ([float], _VELOCITY_RANGE),
         "n_realizations": int,
         "noise_mode": str,
         "single_site": int,
@@ -105,7 +106,7 @@ _SCHEMA: dict[str, Any] = {
         "j_ising": float,
         "j_hc": float,
         "tiled": bool,
-        "defects": {"qubits": list, "couplers": list},
+        "defects": {"qubits": [int], "couplers": [[int]]},
         "gauge": str,
         "output_prefix": str,
     },
@@ -151,6 +152,12 @@ def _check(path: str, value, expected) -> Any:
                                   f"{sorted(expected)}")
             out[key] = _check(name, item, expected[key])
         return out
+    if isinstance(expected, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got "
+                              f"{type(value).__name__}")
+        return [_check(f"{path}[{i}]", item, expected[0])
+                for i, item in enumerate(value)]
     if isinstance(expected, tuple):
         problems = []
         for alternative in expected:

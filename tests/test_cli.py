@@ -155,6 +155,35 @@ class TestQubitVerb:
         sidecar = json.loads((tmp_path / "purity.tsv.meta.json").read_text())
         assert sidecar["coherence_time"] > 0
 
+    def test_sidecar_carries_engine_diagnostics(self, tmp_path):
+        from annealkit.qubit import ENGINE
+
+        tables = []
+        for name in ("a", "b"):
+            cfg = write_config(tmp_path, {
+                "output_dir": str(tmp_path / name),
+                "qubit": {"h_z": 0.1, "t_max": 25.0, "n_realizations": 30,
+                          "spectrum": {"coupling": 0.08, "n_modes": 64},
+                          "output": "purity.tsv"}})
+            assert cli.main(["qubit", "--config", cfg]) == 0
+            tables.append((tmp_path / name / "purity.tsv").read_bytes())
+        # diagnostics go to the sidecar; the table holds seed-determined
+        # numbers only
+        assert tables[0] == tables[1]
+        table = read_table(tmp_path / "a" / "purity.tsv")
+        assert set(table.meta) == {"schema", "config_digest", "h_z",
+                                   "n_realizations"}
+        sidecar = json.loads(
+            (tmp_path / "a" / "purity.tsv.meta.json").read_text())
+        assert sidecar["engine"] == ENGINE
+        assert sidecar["substeps_per_dt_out"] >= 4
+        assert 0 < sidecar["purity_error_estimate"] <= 1e-10
+        assert sidecar["trace_defect"] < 1e-12
+        assert sidecar["hermiticity_defect"] < 1e-12
+        assert sidecar["min_eigenvalue"] > -1e-12
+        assert sidecar["wall_s"] >= 0
+        assert sidecar["coherence_time"] > 0
+
     def test_horizon_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {
             "output_dir": str(tmp_path),

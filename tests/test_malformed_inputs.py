@@ -122,6 +122,26 @@ class TestMalformedFilesExitCleanly:
         path.write_text(path.read_text() + "2046 2047 -0.25\n")
         run_decode(tmp_path, capsys, device_files)
 
+    def test_coupler_across_tiles(self, tmp_path, capsys, device_files):
+        cfg = write_config(tmp_path, {
+            "output_dir": str(tmp_path),
+            "embed": {"L": 4, "output_prefix": "tiled"}})
+        assert cli.main(["embed", "--config", cfg]) == 0
+        couplers = tmp_path / "tiled.couplers.txt"
+        logical_map = tmp_path / "tiled.map.json"
+        sites = json.loads(logical_map.read_text())["sites"]
+        first = {}
+        for site in sites:
+            if not site["vacancy"]:
+                first.setdefault(site["tile"], site["qubits"][0])
+        assert len(first) > 1
+        q1, q2 = first[0], first[1]
+        couplers.write_text(couplers.read_text() + f"{q1} {q2} -0.25\n")
+        with pytest.raises(SchemaError, match="tiles"):
+            read_embedding(couplers, logical_map)
+        run_decode(tmp_path, capsys, dict(device_files, couplers=str(couplers),
+                                          logical_map=str(logical_map)))
+
     @pytest.mark.parametrize("content", ["[1, 2]", "{broken", "\udcff"],
                              ids=["not_an_object", "bad_json", "non_utf8"])
     def test_bad_fit_summary(self, tmp_path, capsys, content):
@@ -162,6 +182,21 @@ class TestConfigShape:
             validate_config(doc)
         assert_clean_exit(capsys, ["simulate", "--config",
                                    write_config(tmp_path, doc)])
+
+    @pytest.mark.parametrize("verb, doc", [
+        ("simulate", {"simulate": {"sizes": ["a"], "velocities": [0.5],
+                                   "noise_mode": "none"}}),
+        ("simulate", {"simulate": {"sizes": [4], "velocities": [0.5, "x"],
+                                   "noise_mode": "none"}}),
+        ("embed", {"embed": {"L": 4, "defects": {"qubits": ["x"]}}}),
+        ("embed", {"embed": {"L": 4, "defects": {"couplers": [[0, "x"]]}}}),
+        ("embed", {"embed": {"L": 4, "defects": {"couplers": [[0, 4, 5]]}}}),
+    ], ids=["sizes", "velocities", "defect_qubits", "defect_coupler_element",
+            "defect_coupler_length"])
+    def test_wrong_list_element(self, tmp_path, capsys, verb, doc):
+        cfg = write_config(tmp_path, dict(doc, output_dir=str(tmp_path)))
+        assert_clean_exit(capsys, [verb, "--config", cfg])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 class TestRequiredKeys:

@@ -1,11 +1,22 @@
 """Single-qubit stochastic evolution, purity, coherence time."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from annealkit.errors import HorizonError, ParameterError
-from annealkit.noise import NoiseSpectrum
-from annealkit.qubit import PurityCurve, QubitRun, coherence_time, evolve_qubit
+import annealkit
+from annealkit import qubit
+from annealkit.errors import HorizonError, IntegrationAbort, ParameterError
+from annealkit.noise import NoiseSpectrum, autocorrelation_exact, sample_signal
+from annealkit.qubit import (QUBIT_STREAM_TAG, PurityCurve, QubitRun,
+                             coherence_time, evolve_qubit)
+from annealkit.tables import read_table
+
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
 def quick_run(**kw):
@@ -83,3 +94,124 @@ class TestCoherenceTime:
         t0 = coherence_time(evolve_qubit(quick_run(h_z=0.0, **base)))
         t1 = coherence_time(evolve_qubit(quick_run(h_z=0.15, **base)))
         assert t1 > t0
+
+
+def signals_of(run):
+    return [sample_signal(run.spectrum, (run.master_seed, QUBIT_STREAM_TAG, r))
+            for r in range(run.n_realizations)]
+
+
+def purity_of(states):
+    """Purity of the realization average of states (n_real, n_times, 2)."""
+    rho = np.einsum("rti,rtj->tij", states, states.conj()) / len(states)
+    return np.einsum("tij,tji->t", rho, rho).real
+
+
+def closed_form_purity(run, times):
+    """h_z = 0: psi = cos(Phi)|up> - i sin(Phi)|down>, Phi = lambda int eta,
+    each mode integrating to 2 sin(w t/2) cos(w t/2 - phase) / w."""
+    states = []
+    for signal in signals_of(run):
+        half = 0.5 * np.outer(times, signal.omega)
+        modes = 2.0 * np.sin(half) * np.cos(half - signal.phase) / signal.omega
+        phi = run.spectrum.coupling * (modes * signal.amp).sum(axis=1) \
+            / np.sqrt(signal.n_modes)
+        states.append(np.stack([np.cos(phi), -1j * np.sin(phi)], axis=1))
+    return purity_of(np.array(states))
+
+
+def dop853_purity(run, times):
+    """Per-realization DOP853 reference at rtol 1e-12."""
+    from scipy.integrate import solve_ivp
+
+    lam, h_z = run.spectrum.coupling, run.h_z
+    states = []
+    for signal in signals_of(run):
+        def rhs(t, psi):
+            drive = lam * signal.eval(t)
+            return np.array([-1j * (h_z * psi[0] + drive * psi[1]),
+                             -1j * (drive * psi[0] - h_z * psi[1])])
+        sol = solve_ivp(rhs, (0.0, times[-1]), np.array([1.0 + 0j, 0j]),
+                        t_eval=times, method="DOP853", rtol=1e-12, atol=1e-14)
+        assert sol.success
+        states.append(sol.y.T)
+    return purity_of(np.array(states))
+
+
+def gaussian_limit_coherence_time(spectrum, dt=0.01, t_end=100.0):
+    """Crossing of (1 + exp(-4 sigma^2)) / 2 = 3/4, where
+    sigma^2(t) = 2 lambda^2 int_0^t (t - tau) C(tau) dtau."""
+    tau = np.arange(0.0, t_end + dt / 2, dt)
+    corr = np.array([autocorrelation_exact(spectrum, x) for x in tau])
+
+    def cumulative(f):
+        return np.concatenate([[0.0], np.cumsum(0.5 * dt * (f[1:] + f[:-1]))])
+
+    sigma2 = 2 * spectrum.coupling ** 2 * (tau * cumulative(corr)
+                                           - cumulative(tau * corr))
+    curve = PurityCurve(times=tau, purity=(1 + np.exp(-4 * sigma2)) / 2,
+                        run=None)
+    return coherence_time(curve)
+
+
+class TestMagnusEngine:
+    def test_closed_form_at_zero_field(self):
+        run = quick_run()
+        curve = evolve_qubit(run)
+        assert np.abs(curve.purity
+                      - closed_form_purity(run, curve.times)).max() <= 1e-12
+        assert curve.substeps == 2
+
+    @pytest.mark.parametrize("h_z", [0.1, 0.2])
+    def test_matches_dop853_reference(self, h_z):
+        run = quick_run(h_z=h_z, n_realizations=20)
+        curve = evolve_qubit(run)
+        assert curve.purity[-1] < 0.99
+        assert curve.error_estimate <= run.rtol
+        assert np.abs(curve.purity
+                      - dop853_purity(run, curve.times)).max() <= 1e-9
+
+    def test_gaussian_limit_coherence_time(self):
+        t_gauss = gaussian_limit_coherence_time(NoiseSpectrum())
+        assert t_gauss == pytest.approx(58.72, abs=0.05)
+        table = read_table(RESULTS_DIR / "purity_hz0.tsv")
+        stored = coherence_time(PurityCurve(times=table["t"],
+                                            purity=table["purity"], run=None))
+        assert stored == pytest.approx(t_gauss, rel=0.05)
+
+    @pytest.mark.parametrize("rtol", [0.0, -1e-10])
+    def test_rtol_must_be_positive(self, rtol):
+        with pytest.raises(ParameterError):
+            quick_run(rtol=rtol)
+
+    def test_substep_cap_aborts(self, monkeypatch):
+        monkeypatch.setattr(qubit, "_MAX_SUBSTEPS", 4)
+        run = quick_run(h_z=0.2, n_realizations=5, rtol=1e-14)
+        with pytest.raises(IntegrationAbort):
+            evolve_qubit(run)
+
+    def test_reruns_are_bit_identical_for_any_blas_thread_count(self):
+        src = os.path.dirname(os.path.dirname(annealkit.__file__))
+        code = ("import hashlib; from annealkit.noise import NoiseSpectrum; "
+                "from annealkit.qubit import QubitRun, evolve_qubit; "
+                "c = evolve_qubit(QubitRun(h_z=0.1, t_max=10.0, "
+                "n_realizations=70, spectrum=NoiseSpectrum(coupling=0.05))); "
+                "print(hashlib.sha256(c.purity.tobytes()).hexdigest())")
+        digests = set()
+        for threads in ("1", "2", "2"):
+            env = dict(os.environ, PYTHONPATH=src,
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            digests.add(subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert len(digests) == 1
+
+
+def test_qubit_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(annealkit.__file__))
+    code = ("import sys, annealkit.qubit; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
