@@ -17,9 +17,11 @@
 #   qubit_hz0, qubit_hz0_twin  ~2 s each
 #   qubit_hz01                 ~3 min
 #   qubit_hz02                 ~10 min (the qubit stage's wall time)
-#   sweep_allsites             ~11.9 core-hours for the 14 points the
-#                              committed table lacks
-#   sweep_single               ~16.5 core-hours
+#   sweep_allsites             ~1.1 core-hours for all 39 points
+#                              (projected; the 25 committed DOP853 rows
+#                              belong to another plan digest, so the
+#                              table is rebuilt whole)
+#   sweep_single               ~1.4 core-hours (projected)
 # The sweep tables gain one row per finished grid point and resume from
 # partial output if interrupted; the qubit tables are written at the end
 # of their run.
@@ -28,8 +30,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # Count the cores before the pin below: nproc honours OMP_NUM_THREADS.
 workers=${ANNEALKIT_WORKERS:-$(nproc)}
 # One BLAS thread per process: pool workers with their own BLAS thread
-# pools oversubscribe the cores, and the sweep rows depend on the thread
-# count in their last digits.
+# pools would oversubscribe the cores.  (The tables do not depend on it.)
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 stage=${1:-all}
 case "$stage" in

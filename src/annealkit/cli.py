@@ -64,6 +64,21 @@ def _sidecar(path: str, payload: dict) -> None:
     write_document(path + ".meta.json", payload)
 
 
+def _resumed_points(table: str, plan_digest: str) -> list:
+    """The per-point sidecar entries of the rows a resume keeps."""
+    try:
+        previous = read_document(table + ".meta.json")
+        kept = {(int(row[0]), float(row[1])) for row in read_table(table).rows()}
+    except (OSError, SchemaError):
+        return []
+    points = previous.get("points")
+    if previous.get("plan_digest") != plan_digest or \
+            not isinstance(points, list):
+        return []
+    return [p for p in points
+            if isinstance(p, dict) and (p.get("L"), p.get("v")) in kept]
+
+
 def _require(doc: dict, section: str, *keys: str) -> dict:
     """The named section, which must hold every one of `keys`."""
     if section not in doc:
@@ -95,6 +110,9 @@ def cmd_simulate(args) -> int:
     plan = SweepPlan(master_seed=doc["master_seed"], **sec)
     out = _outpath(doc, output)
     provenance = {"config_digest": digest, "plan_digest": plan.digest()}
+    # per-point engine health; a resume of the same plan keeps the entries
+    # of the points it does not recompute
+    points = _resumed_points(out, plan.digest())
 
     def progress(row):
         print(f"  L={row.L:4d} v={row.v:.6g} dE={row.delta_e_mean:.6g} "
@@ -102,11 +120,12 @@ def cmd_simulate(args) -> int:
         # written once a point is in the table (the resume check has passed
         # by then), so a stopped sweep keeps its provenance; the failures
         # list is added when the grid ends
-        _sidecar(out, provenance)
+        _sidecar(out, dict(provenance, points=points))
 
     result = run_sweep(plan, out_path=out, workers=doc["workers"],
-                       progress=progress, meta={"config_digest": digest})
-    _sidecar(out, dict(provenance,
+                       progress=progress, meta={"config_digest": digest},
+                       health=points)
+    _sidecar(out, dict(provenance, points=points,
                        failures=[list(f) for f in result.failures]))
     print(f"wrote {out} ({len(result.rows)} points, "
           f"{len(result.failures)} failures)")

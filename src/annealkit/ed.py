@@ -9,12 +9,13 @@ least-significant bit of the basis index; a cleared bit is spin up
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.integrate import DOP853
 
-from .errors import CapacityError, ParameterError
-from .fermion import ChainSpec, _integrate
+from .errors import CapacityError, IntegrationAbort, ParameterError
+from .fermion import ChainSpec
 
 MAX_SITES = 12
 
@@ -80,6 +81,21 @@ def ground_state_exact(chain: ChainSpec, s: float, t: float = 0.0) -> DenseState
 
 def spectrum_exact(chain: ChainSpec, s: float, t: float = 0.0) -> np.ndarray:
     return np.linalg.eigvalsh(build_hamiltonian(chain, s, t))
+
+
+def _integrate(rhs: Callable, y0: np.ndarray, t0: float, t1: float,
+               rtol: float, atol: float) -> np.ndarray:
+    """DOP853 from t0 to t1: the oracle's integrator and the test reference."""
+    stepper = DOP853(rhs, t0, y0, t_bound=t1, rtol=rtol, atol=atol)
+    while stepper.status == "running":
+        stepper.step()
+    # the solver's `fun` closures refer back to it: cut them so its stage
+    # arrays are freed on return, not at the next full cyclic collection
+    stepper.fun = stepper.fun_vectorized = None
+    if stepper.status != "finished":
+        raise IntegrationAbort("evolution stalled", t=stepper.t,
+                               step=float(getattr(stepper, "h_abs", np.nan)))
+    return stepper.y
 
 
 def evolve_exact(initial: DenseState, chain: ChainSpec, T: float,

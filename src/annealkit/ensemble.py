@@ -6,6 +6,14 @@ the standard error by data binning.  Per-realization seeds derive from
 (master_seed, L, v, realization, site), so results are reproducible and
 independent of execution order or worker count.  Completed points are
 appended to the output table immediately and skipped on restart.
+
+The step count of a point is chosen once, in the calling process, by the
+tolerance search of `fermion.propagate` on realization 0 (the pilot,
+whose fine run is kept as realization 0's result), and every other
+realization runs that many steps.  A realization starts from the s = 0
+ground state, the vacuum (J(0) = 0), and its residual energy is read off
+the Majorana propagator by elementwise sums: no BLAS call, so the table
+bytes depend on neither the worker count nor the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -23,8 +32,10 @@ import numpy as np
 from . import __version__
 from .analysis import bin_stats
 from .errors import IntegrationAbort, ParameterError, SchemaError
-from .fermion import (ChainSpec, bdg_matrices, correlations, evolve,
-                      ground_state, residual_energy)
+# residual_energy reads a realization's residual energy off its
+# propagator; the module global is what perfbench/selftest.py perturbs
+from .fermion import (ENGINE, ChainSpec, orthogonality_defect, propagate,
+                      propagator, vacuum_residual_energy as residual_energy)
 from .noise import NoiseSpectrum, sample_signal
 from .tables import append_row, read_table
 
@@ -80,6 +91,10 @@ class SweepPlan:
                                  "for meaningful binned error bars")
         if self.noise_mode == "single" and self.single_site < 0:
             raise ParameterError("single_site must be a valid site index")
+        if not self.rtol > 0.0:
+            raise ParameterError(f"rtol must be positive, got {self.rtol}")
+        if not self.atol >= 0.0:
+            raise ParameterError(f"atol must be non-negative, got {self.atol}")
 
     def velocities_for(self, L: int) -> tuple:
         if self.velocities is not None:
@@ -88,6 +103,7 @@ class SweepPlan:
 
     def digest(self) -> str:
         doc = {
+            "engine": ENGINE,
             "sizes": list(self.sizes),
             "velocities": ("auto" if self.velocities is None
                            else [repr(v) for v in self.velocities]),
@@ -144,31 +160,66 @@ def build_chain(plan: SweepPlan, L: int, v: float, realization: int) -> ChainSpe
                      signals=tuple(signals))
 
 
-def _one_realization(plan: SweepPlan, L: int, v: float, r: int) -> float:
+class Pilot(NamedTuple):
+    """Realization 0 of a point, run by the step-count search."""
+
+    steps: int
+    delta_e: float
+    richardson: float           # |dE_n - dE_{n/2}| / 15
+    error_ratio: float          # accepted propagator error over allowance
+    orthogonality_defect: float  # worst max|R R^T - 1| of the two runs
+
+
+def _pilot(plan: SweepPlan, L: int, v: float) -> Pilot:
+    prop = propagate(build_chain(plan, L, v, 0), 1.0 / v, plan.rtol,
+                     plan.atol)
+    fine = residual_energy(prop.fine)
+    coarse = residual_energy(prop.coarse)
+    return Pilot(prop.steps, fine, abs(fine - coarse) / 15.0,
+                 prop.error_ratio,
+                 max(orthogonality_defect(prop.fine),
+                     orthogonality_defect(prop.coarse)))
+
+
+def _one_realization(plan: SweepPlan, L: int, v: float, r: int,
+                     steps: Optional[int] = None) -> float:
+    """Residual energy of realization r after `steps` steps (default: the
+    count the point's pilot chooses)."""
+    if steps is None:
+        steps = _pilot(plan, L, v).steps
     chain = build_chain(plan, L, v, r)
-    modes = ground_state(*bdg_matrices(chain, 0.0, 0.0))
-    final = evolve(modes, chain, T=1.0 / v, rtol=plan.rtol, atol=plan.atol)
-    return residual_energy(correlations(final))
+    return residual_energy(propagator(chain, 1.0 / v, steps))
 
 
-def run_point(L: int, v: float, plan: SweepPlan, workers: int = 1) -> PointRow:
-    """Ensemble mean and binned error at one grid point (T = 1/v)."""
+def run_point(L: int, v: float, plan: SweepPlan, workers: int = 1,
+              health: Optional[dict] = None) -> PointRow:
+    """Ensemble mean and binned error at one grid point (T = 1/v).
+
+    `health`, if given, receives the engine and the pilot's step count,
+    Richardson estimate, error ratio and orthogonality defect.
+    """
     n_real = 1 if plan.noise_mode == "none" else plan.n_realizations
     energies = np.empty(n_real)
     try:
-        if workers > 1 and n_real > 1:
+        pilot = _pilot(plan, L, v)
+        energies[0] = pilot.delta_e
+        rest = range(1, n_real)
+        if workers > 1 and n_real > 2:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for r, e in enumerate(pool.map(_one_realization,
-                                               [plan] * n_real, [L] * n_real,
-                                               [v] * n_real, range(n_real),
-                                               chunksize=4)):
-                    energies[r] = e
+                energies[1:] = list(pool.map(
+                    _one_realization, repeat(plan), repeat(L), repeat(v),
+                    rest, repeat(pilot.steps), chunksize=4))
         else:
-            for r in range(n_real):
-                energies[r] = _one_realization(plan, L, v, r)
+            for r in rest:
+                energies[r] = _one_realization(plan, L, v, r, pilot.steps)
     except IntegrationAbort as exc:
         raise IntegrationAbort(f"point (L={L}, v={v}) failed: {exc}",
                                t=exc.t, step=exc.step) from exc
+    if health is not None:
+        health.update(engine=ENGINE, steps=pilot.steps,
+                      richardson_delta_e=pilot.richardson,
+                      error_ratio=pilot.error_ratio,
+                      orthogonality_defect=pilot.orthogonality_defect)
     if n_real == 1:
         return PointRow(L, v, float(energies[0]), 0.0, 1, 1)
     mean, stderr, n_bins = bin_stats(energies, plan.n_bins)
@@ -201,11 +252,14 @@ def _load_completed(path, plan: SweepPlan) -> dict:
 
 
 def run_sweep(plan: SweepPlan, out_path=None, workers: int = 1,
-              progress=None, meta: Optional[dict] = None) -> SweepResult:
+              progress=None, meta: Optional[dict] = None,
+              health: Optional[list] = None) -> SweepResult:
     """Run the grid, resuming from and appending to out_path if given.
 
     Failed points are recorded as NaN rows and the sweep continues.
-    Velocities run highest-first so cheap points land early.
+    Velocities run highest-first so cheap points land early.  Each
+    computed point appends {"L", "v", **run_point health} to `health`
+    before `progress` sees its row.
     """
     done = _load_completed(out_path, plan)
     table_meta = _table_meta(plan, meta)
@@ -219,13 +273,16 @@ def run_sweep(plan: SweepPlan, out_path=None, workers: int = 1,
                     failures.append((L, v, "recorded failure (resumed)"))
                 rows.append(row)
                 continue
+            point = {"L": L, "v": v}
             try:
-                row = run_point(L, v, plan, workers=workers)
+                row = run_point(L, v, plan, workers=workers, health=point)
             except IntegrationAbort as exc:
                 failures.append((L, v, str(exc)))
                 row = PointRow(L, v, float("nan"), float("nan"),
                                0, 0)
             rows.append(row)
+            if health is not None:
+                health.append(point)
             if out_path:
                 append_row(out_path, CURVE_COLUMNS, row, table_meta)
             if progress is not None:

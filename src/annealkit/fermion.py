@@ -20,28 +20,76 @@ sign choices is pinned by the exact-diagonalization cross-checks, not by
 the convention itself.)
 
 The state is carried by Bogoliubov mode matrices (U, V) whose columns
-are the quasiparticle annihilators.  Time evolution integrates
+are the quasiparticle annihilators; correlations() gives its Wick data.
 
-    i d/dt [U; V] = [[A, B], [-B, -A]] [U; V]
+Time evolution works on Majorana operators a_i = c_i + c+_i and
+b_i = -i (c_i - c+_i), in which
 
-which in the half-sum variables phi = U + V, psi = U - V decouples into
-two bidiagonal products,
+    H = sum_i i Gamma_i a_i b_i + sum_i i J b_i a_{i+1} + const.
 
-    i dphi/dt = (A - B) psi,     i dpsi/dt = (A + B) phi,
+A term i theta x y turns the Heisenberg pair (x, y) by the angle
+2 theta dt, so the evolved Majoranas are c(t) = R(t) c(0) with R real
+orthogonal, and every term is an exact 2x2 rotation.  The field terms
+(pairs a_i, b_i) commute with each other at all times, as do the bond
+terms (pairs b_i, a_{i+1}) at one time, so each kind forms a layer of
+independent rotations.  propagator() composes the layers with the
+fourth-order S6 splitting of Blanes & Moan, J. Comput. Appl. Math. 142,
+313 (2002):
 
-the form actually used in the hot loop.
+    a1 b1 a2 b2 a3 b3 a4 b3 a3 b2 a2 b1 a1,
+    a1 = 0.0792036964311957, a2 = 0.353172906049774,
+    a3 = -0.0420650803577195, a4 = 1 - 2 (a1 + a2 + a3),
+    b1 = 0.209515106613362, b2 = -0.143851773179818, b3 = 1/2 - b1 - b2.
+
+Time advances in the field layers: an a_k layer turns pair i by
+2 int Gamma_i dt over its sub-interval of length a_k h (a3 < 0 runs
+backwards), with the schedule part from 3-point Gauss-Legendre and the
+noise part exact, from the mode phasors of noise.PhasorMoments.  A b_k
+layer turns every bond by 2 b_k h J(t/T) at the time the field layers
+have reached.  The last field layer of a step and the first of the next
+merge into one.  R is stored transposed with its Majorana columns
+interleaved (a_1, b_1, a_2, ...), so both layer kinds are one complex
+multiply over a view: pairs (a_i, b_i) are the complex columns of the
+array, pairs (b_i, a_{i+1}) those of the array shifted by one column.
+
+Accuracy follows the per-step tolerance of an adaptive Runge-Kutta run:
+propagate() accepts n steps when
+
+    RMS( (R_n - R_{n/2}) / 15 / (atol + rtol max(|R_n|, |R_{n/2}|)) ) <= n,
+
+the Richardson estimate of the error of R_n summed against n per-step
+allowances.  The search starts at h = 1/2, grows n by 1.1 (e)^(1/5) after
+a failed ratio e and aborts beyond _MAX_STEPS steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .errors import IntegrationAbort, ParameterError
-from .noise import NoiseSignal, SignalBank
+from .noise import PhasorMoments, interval_weights
+
+ENGINE = "majorana-s6"
+
+# Blanes & Moan S6, J. Comput. Appl. Math. 142, 313 (2002): field (alpha,
+# time-advancing) and bond (beta) coefficients of a fourth-order splitting
+_A1, _A2, _A3 = 0.0792036964311957, 0.353172906049774, -0.0420650803577195
+_B1, _B2 = 0.209515106613362, -0.143851773179818
+_ALPHA = np.array([_A1, _A2, _A3, 1.0 - 2.0 * (_A1 + _A2 + _A3), _A3, _A2, _A1])
+_BETA = np.array([_B1, _B2, 0.5 - _B1 - _B2, 0.5 - _B1 - _B2, _B2, _B1])
+_EDGES = np.concatenate([[0.0], np.cumsum(_ALPHA)])    # in units of h
+_CENTRES = 0.5 * (_EDGES[:-1] + _EDGES[1:])
+# 3-point Gauss-Legendre on [-1/2, 1/2], weights summing to 1
+_GL_NODES = np.array([-math.sqrt(0.15), 0.0, math.sqrt(0.15)])
+_GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
+_FIRST_STEP = 0.5
+_MAX_STEPS = 1 << 24
+_BLOCK = 4096       # steps whose schedule angles are held at once
+_TINY = np.finfo(float).tiny
 
 
 def ramp_up(s: float) -> float:
@@ -60,6 +108,7 @@ class ChainSpec:
 
     signals is a per-site tuple of NoiseSignal or None; the field at site
     i is base_field(s) + coupling * eta_i(t) where a signal is attached.
+    The propagator calls the two schedules with arrays of s.
     """
 
     size: int
@@ -195,87 +244,176 @@ def spin_spectrum(A: np.ndarray, B: np.ndarray, offset: float) -> np.ndarray:
     return np.sort(energies + e0)
 
 
-class _Rhs:
-    """Hot-loop right-hand side in the (phi, psi) = (U+V, U-V) variables."""
-
-    def __init__(self, chain: ChainSpec, T: float):
-        self.L = chain.size
-        self.T = T
-        self.bond = chain.bond_coupling
-        self.base = chain.base_field
-        self.coupling = chain.coupling
-        self.bank = SignalBank(chain.signals or [None] * chain.size, chain.size)
-
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        L = self.L
-        s = t / self.T
-        j2 = 2.0 * self.bond(s)
-        # a bank without signals evaluates to zeros, so base + 0.0 = base
-        g2 = 2.0 * (self.base(s) + self.coupling * self.bank.eval_at(t))
-        w = y.reshape(2 * L, L)
-        phi, psi = w[:L], w[L:]
-        out = np.empty_like(w)
-        dphi, dpsi = out[:L], out[L:]
-        # (A - B) psi: diagonal 2*Gamma, subdiagonal -2J
-        np.multiply(psi, g2[:, None], out=dphi)
-        dphi[1:] -= j2 * psi[:-1]
-        # (A + B) phi: diagonal 2*Gamma, superdiagonal -2J
-        np.multiply(phi, g2[:, None], out=dpsi)
-        dpsi[:-1] -= j2 * phi[1:]
-        out *= -1j
-        return out.ravel()
+def _on_grid(schedule: Callable, s: np.ndarray) -> np.ndarray:
+    """A schedule evaluated on an array of s (constants broadcast)."""
+    return np.broadcast_to(np.asarray(schedule(s), dtype=float), s.shape)
 
 
-def _integrate(rhs: Callable, y0: np.ndarray, t0: float, t1: float,
-               rtol: float, atol: float) -> np.ndarray:
-    """DOP853 from t0 to t1; the chain and the dense oracle both use it."""
-    stepper = DOP853(rhs, t0, y0, t_bound=t1, rtol=rtol, atol=atol)
-    while stepper.status == "running":
-        stepper.step()
-    # the solver's `fun` closures refer back to it: cut them so its stage
-    # arrays are freed on return, not at the next full cyclic collection
-    stepper.fun = stepper.fun_vectorized = None
-    if stepper.status != "finished":
-        raise IntegrationAbort("evolution stalled", t=stepper.t,
-                               step=float(getattr(stepper, "h_abs", np.nan)))
-    return stepper.y
+def _noise_kernel(chain: ChainSpec, h: float):
+    """(sites, PhasorMoments) for the chain's signals, or None if noiseless.
+
+    The kernel's moments have shape (7, sites, modes); their real parts
+    summed over modes are the noise parts 2 lambda int eta of the field
+    angles over the 7 sub-intervals of a step, measured from its start.
+    """
+    if chain.signals is None or chain.coupling == 0.0:
+        return None
+    sites = [i for i, sig in enumerate(chain.signals) if sig is not None]
+    if not sites:
+        return None
+    sigs = [chain.signals[i] for i in sites]
+    if len({sig.n_modes for sig in sigs}) != 1:
+        raise ParameterError("all signals of a chain must share n_modes")
+    omega, amp, phase = (np.stack([getattr(sig, name) for sig in sigs])
+                         for name in ("omega", "amp", "phase"))
+    scale = 2.0 * chain.coupling / np.sqrt(omega.shape[1])
+    weights = np.stack([interval_weights(omega, amp, scale, a * h)
+                        * np.exp(1j * (c * h) * omega)
+                        for a, c in zip(_ALPHA, _CENTRES)])
+    if len(sites) == chain.size:
+        sites = slice(None)
+    return sites, PhasorMoments(omega, phase, weights, h)
 
 
-def _pack(modes: BdgModes) -> np.ndarray:
-    phi = modes.U + modes.V
-    psi = modes.U - modes.V
-    return np.concatenate([phi, psi]).astype(complex).ravel()
+def _schedule_angles(chain: ChainSpec, T: float, h: float, first: int,
+                     last: int) -> tuple:
+    """Schedule parts of steps first..last-1: field angles (steps, 7) and
+    bond rotation factors (steps, 6)."""
+    start = h * np.arange(first, last)
+    # 3-point Gauss-Legendre on each sub-interval, exact for schedules of
+    # degree <= 5
+    nodes = start[:, None, None] + h * (_CENTRES[:, None]
+                                        + _ALPHA[:, None] * _GL_NODES)
+    field = 2.0 * h * _ALPHA * (_on_grid(chain.base_field, nodes / T)
+                                * _GL_WEIGHTS).sum(axis=-1)
+    # bond angles at the times the field layers have advanced to
+    bond_s = (start[:, None] + h * _EDGES[1:-1]) / T
+    bond = np.exp(-2j * h * _BETA * _on_grid(chain.bond_coupling, bond_s))
+    return field, bond
 
 
-def _unpack(y: np.ndarray, L: int) -> BdgModes:
-    w = y.reshape(2 * L, L)
-    return BdgModes(U=0.5 * (w[:L] + w[L:]), V=0.5 * (w[:L] - w[L:]))
+def propagator(chain: ChainSpec, T: float, steps: int) -> np.ndarray:
+    """The Majorana propagator of the anneal after `steps` S6 steps.
+
+    Returned transposed with interleaved columns: entry [k, 2i] is
+    R[a_i, k] and [k, 2i + 1] is R[b_i, k], where row c of R expands the
+    Heisenberg-evolved Majorana c in the Majoranas at t = 0.
+    """
+    L = chain.size
+    h = T / steps
+    noise = _noise_kernel(chain, h)
+
+    S = np.eye(2 * L)
+    pairs = S.view(complex)                 # columns a_i + i b_i
+    # the array shifted by one entry, as one flat run of b_i + i a_{i+1};
+    # every L-th entry pairs the last b of a row with the first a of the
+    # next, and is put back after each bond layer
+    links = S.reshape(-1)[1:-1].view(complex)
+    straddle = slice(L - 1, None, L)
+    kept = np.empty(2 * L - 1, dtype=complex)
+    angle = np.empty((7, L if noise else 1))
+    carry = np.zeros(angle.shape[1])        # last sub-interval, merged on
+    for first in range(0, steps, _BLOCK):
+        field, bond = _schedule_angles(chain, T, h, first,
+                                       min(first + _BLOCK, steps))
+        for field_k, bond_k in zip(field, bond):
+            angle[:] = field_k[:, None]
+            if noise is not None:
+                sites, kernel = noise
+                angle[:, sites] += kernel.next().real.sum(axis=-1)
+            angle[0] += carry
+            carry = angle[6].copy()
+            turn = np.exp(-1j * angle[:6])
+            for j in range(6):
+                pairs *= turn[j]
+                kept[:] = links[straddle]
+                links *= bond_k[j]
+                links[straddle] = kept
+    pairs *= np.exp(-1j * carry)
+    return S
+
+
+@dataclass
+class Propagation:
+    """Fine and coarse propagators of an accepted step count."""
+
+    fine: np.ndarray
+    coarse: np.ndarray
+    steps: int
+    error_ratio: float      # Richardson error over its allowance, <= 1
+
+
+def propagate(chain: ChainSpec, T: float, rtol: float = 1e-8,
+              atol: float = 1e-10) -> Propagation:
+    """Propagators for n and n/2 steps, with n the first accepted count.
+
+    n is accepted when RMS((R_n - R_{n/2}) / 15 / (atol + rtol *
+    max(|R_n|, |R_{n/2}|))) <= n, the sum of the per-step tolerances an
+    adaptive Runge-Kutta run promises.  The search starts at h = 1/2 and,
+    after a ratio e = RMS / n above 1, continues at the even count
+    ceil(1.1 n e^(1/5)); beyond _MAX_STEPS it raises IntegrationAbort.
+    """
+    if not rtol > 0.0:
+        raise ParameterError(f"rtol must be positive, got {rtol}")
+    if not atol >= 0.0:
+        raise ParameterError(f"atol must be non-negative, got {atol}")
+    if not T > 0.0:
+        raise ParameterError(f"anneal time must be positive, got {T}")
+    n = _even(T / _FIRST_STEP)
+    while True:
+        fine = propagator(chain, T, n)
+        coarse = propagator(chain, T, n // 2)
+        allowed = atol + rtol * np.maximum(np.abs(fine), np.abs(coarse))
+        with np.errstate(over="ignore"):    # an overflow reads as inf
+            scaled = (fine - coarse) / 15.0 / np.maximum(allowed, _TINY)
+            ratio = float(np.sqrt(np.mean(scaled * scaled))) / n
+        if ratio <= 1.0:
+            return Propagation(fine, coarse, n, ratio)
+        grown = 1.1 * n * ratio ** 0.2
+        if not grown <= _MAX_STEPS:         # also when inf or NaN
+            raise IntegrationAbort(
+                f"Richardson error {ratio:.3g} times its allowance at "
+                f"{n} steps", t=T, step=T / n)
+        n = _even(grown)
+
+
+def _even(x: float) -> int:
+    return max(2, 2 * math.ceil(x / 2.0))
+
+
+def orthogonality_defect(S: np.ndarray) -> float:
+    """max |R R^T - 1|; zero for an exact propagator."""
+    return float(np.abs(S.T @ S - np.eye(S.shape[0])).max())
+
+
+def vacuum_residual_energy(S: np.ndarray) -> float:
+    """Residual energy of the anneal when it starts from the vacuum.
+
+    The vacuum, the ground state wherever J = 0 and every Gamma_i > 0, has
+    <c_k c_l> = delta_kl + i Omega_kl with Omega[a_j, b_j] = 1, so the
+    bond correlator <sigma^z_i sigma^z_{i+1}> = -i <b_i a_{i+1}> is
+    sum_j R[b_i, a_j] R[a_{i+1}, b_j] - R[b_i, b_j] R[a_{i+1}, a_j].
+    """
+    b_a, b_b = S[0::2, 1:-1:2], S[1::2, 1:-1:2]
+    n_a, n_b = S[0::2, 2::2], S[1::2, 2::2]
+    return _bond_deficit((b_a * n_b - b_b * n_a).sum(axis=0))
 
 
 def evolve(modes: BdgModes, chain: ChainSpec, T: float,
            rtol: float = 1e-8, atol: float = 1e-10) -> BdgModes:
-    """Integrate the mode matrices from t=0 to t=T along the schedule."""
-    rhs = _Rhs(chain, T)
-    y = _integrate(rhs, _pack(modes), 0.0, T, rtol, atol)
-    return _unpack(y, chain.size)
+    """Evolve the mode matrices from t=0 to t=T along the schedule.
 
-
-def evolve_checkpointed(modes: BdgModes, chain: ChainSpec, T: float,
-                        times: Sequence[float], rtol: float = 1e-8,
-                        atol: float = 1e-10):
-    """Like evolve but returns [(t, BdgModes)] at the requested times."""
-    rhs = _Rhs(chain, T)
-    y = _pack(modes)
-    t_prev = 0.0
-    out = []
-    for t in times:
-        if t < t_prev or t > T:
-            raise ParameterError("checkpoint times must be sorted within [0, T]")
-        if t > t_prev:
-            y = _integrate(rhs, y, t_prev, t, rtol, atol)
-            t_prev = t
-        out.append((t, _unpack(y, chain.size)))
-    return out
+    In Majorana form the modes are P = (phi_1, -i psi_1, phi_2, ...),
+    phi = U + V and psi = U - V, and they evolve as P -> R P.
+    """
+    S = propagate(chain, T, rtol, atol).fine
+    L = chain.size
+    P = np.empty((2 * L, L), dtype=complex)
+    P[0::2] = modes.U + modes.V
+    P[1::2] = -1j * (modes.U - modes.V)
+    P = S.T @ P
+    phi, psi = P[0::2], 1j * P[1::2]
+    return BdgModes(U=0.5 * (phi + psi), V=0.5 * (phi - psi))
 
 
 def correlations(modes: BdgModes) -> CorrelationPair:
@@ -294,7 +432,12 @@ def residual_energy(corr: CorrelationPair) -> float:
     """
     G, F = corr.G, corr.F
     i = np.arange(corr.size - 1)
-    bond = 2.0 * np.real(G[i, i + 1]) + 2.0 * np.real(F[i + 1, i])
+    return _bond_deficit(2.0 * np.real(G[i, i + 1])
+                         + 2.0 * np.real(F[i + 1, i]))
+
+
+def _bond_deficit(bond: np.ndarray) -> float:
+    """sum_i (1 - <sigma^z_i sigma^z_{i+1}>), clamping [-1e-8, 0) to 0."""
     delta = float(np.sum(1.0 - bond))
     if -1e-8 <= delta < 0.0:
         return 0.0

@@ -14,6 +14,18 @@ autocorrelation <eta(t) eta(t+tau)> equals the real part of the gamma
 characteristic function, Re[(1 - i*omega0*tau)^(-(1-p))], in the limit of
 many modes.  Signals are immutable and evaluated exactly at any requested
 time; nothing is cached on a grid.
+
+The evolution engines never sample a signal.  They take exact integrals
+of lambda * eta over the sub-intervals of each step from `PhasorMoments`:
+over an interval of signed length d centred on t_c,
+
+    int amp cos(w t - phi) dt = Re[ amp d sinc(w d/2) e^{i(w t_c - phi)} ],
+
+so with weights computed once per run (`interval_weights`, and
+`first_moment_weights` for the first moment) every integral of a step is
+a real or imaginary part of a weighted mode phasor.  The weighted
+phasors advance by e^{i w h} per step and are recomputed exactly every
+REANCHOR steps, so rounding cannot drift.
 """
 
 from __future__ import annotations
@@ -24,6 +36,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .seeds import stream
+
+REANCHOR = 64       # steps between exact evaluations of the phasors
 
 
 @dataclass(frozen=True)
@@ -87,11 +101,6 @@ class NoiseSignal:
         """Normalized mode sum at time t."""
         return float(np.sum(self.amp * np.cos(self.omega * t - self.phase))) / np.sqrt(self.n_modes)
 
-    def eval_many(self, times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        arg = np.outer(times, self.omega) - self.phase
-        return (np.cos(arg) @ self.amp) / np.sqrt(self.n_modes)
-
 
 def sample_signal(spec: NoiseSpectrum, seed) -> NoiseSignal:
     """Draw a signal realization; reproducible from the seed.
@@ -122,39 +131,67 @@ def autocorrelation_exact(spec: NoiseSpectrum, tau: float) -> float:
     return float(np.real((1.0 - 1j * spec.omega0 * tau) ** (-(1.0 - spec.p))))
 
 
-class SignalBank:
-    """Stacked evaluation of many signals at a common time.
+def interval_weights(omega, amp, scale: float, length: float) -> np.ndarray:
+    """scale * amp * length * sinc(omega * length / 2), elementwise.
 
-    Used in the evolution hot loop: one call returns eta_i(t) for every
-    site.  Sites without a signal evaluate to 0.
+    The real part of the weighted phasor w e^{i(w t_c - phi)} is then the
+    exact integral of scale * amp cos(w t - phi) over the interval of
+    signed length `length` centred on t_c.
+    """
+    x = 0.5 * length * omega
+    return scale * length * amp * (np.sin(x) / x)
+
+
+def _q(x: np.ndarray) -> np.ndarray:
+    """(sin x / x - cos x) / x, by its series below x = 0.1."""
+    out = np.empty_like(x)
+    small = x < 0.1
+    xs = x[small]
+    x2 = xs * xs
+    out[small] = xs * (1 / 3 - x2 * (1 / 30 - x2 * (1 / 840 - x2 / 45360)))
+    xl = x[~small]
+    out[~small] = (np.sin(xl) / xl - np.cos(xl)) / xl
+    return out
+
+
+def first_moment_weights(omega, amp, factor: float, length: float) -> np.ndarray:
+    """factor * amp * q(omega * length / 2), q(x) = (sin x / x - cos x) / x.
+
+    Minus the imaginary part of the weighted phasor is then
+    2 factor / length^2 times the first moment int (t - t_c) amp
+    cos(w t - phi) dt over the interval of length `length` centred on t_c.
+    """
+    return factor * amp * _q(0.5 * length * omega)
+
+
+class PhasorMoments:
+    """Weighted mode phasors w e^{i(w (j + offset) h - phi)} for j = 0, 1, ...
+
+    `omega` and `phase` have shape (..., modes); `weights` stacks one
+    weight array of that shape per integral wanted, (k, ..., modes).  Each
+    call of `next()` returns the (k, ..., modes) moments of the next step;
+    their real (or imaginary) parts summed over modes are the integrals.
     """
 
-    def __init__(self, signals, size: int):
-        self.size = size
-        self.active = [i for i, s in enumerate(signals) if s is not None]
-        sigs = [signals[i] for i in self.active]
-        if sigs:
-            n_modes = {s.n_modes for s in sigs}
-            if len(n_modes) != 1:
-                raise ParameterError("all signals in a bank must share n_modes")
-            self._omega = np.stack([s.omega for s in sigs])
-            self._amp = np.stack([s.amp for s in sigs])
-            self._phase = np.stack([s.phase for s in sigs])
-            self._norm = 1.0 / np.sqrt(self._omega.shape[1])
-            self._buf = np.empty_like(self._omega)
-        else:
-            self._omega = None
-        self._out = np.zeros(size)
+    def __init__(self, omega, phase, weights, h: float, offset: float = 0.0):
+        self.omega = omega
+        self.phase = phase
+        self.weights = weights
+        self.h = h
+        self.offset = offset
+        self.advance = np.exp(1j * h * omega)
+        self.phasor = np.empty_like(self.advance)
+        self.moments = np.empty(np.shape(weights), dtype=complex)
+        self.step = 0
 
-    def eval_at(self, t: float) -> np.ndarray:
-        """eta_i(t) for i = 0..size-1 (zeros where no signal is attached)."""
-        if self._omega is None:
-            return self._out
-        buf = self._buf
-        np.multiply(self._omega, t, out=buf)
-        np.subtract(buf, self._phase, out=buf)
-        np.cos(buf, out=buf)
-        np.multiply(buf, self._amp, out=buf)
-        self._out[self.active] = buf.sum(axis=1)
-        self._out[self.active] *= self._norm
-        return self._out
+    def next(self) -> np.ndarray:
+        j = self.step
+        self.step += 1
+        if j % REANCHOR:
+            self.moments *= self.advance
+            return self.moments
+        arg = (j + self.offset) * self.h * self.omega - self.phase
+        np.cos(arg, out=self.phasor.real)
+        np.sin(arg, out=self.phasor.imag)
+        np.multiply(self.phasor, self.weights, out=self.moments)
+        return self.moments

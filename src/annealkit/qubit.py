@@ -19,10 +19,10 @@ with q(x) = (sin x / x - cos x) / x.  The step exponent is
 Omega = -i [h h_z sigma_z + D0 sigma_x - 2 h h_z E1 sigma_y], applied as
 the exact 2x2 exponential.  At h_z = 0 each step is an exact rotation, so
 the closed form psi = cos(Phi)|up> - i sin(Phi)|down>, Phi = lambda * int
-eta, is reproduced to rounding.  The weighted mode phasors advance by a
-complex rotation per substep and are recomputed exactly every _REANCHOR
-substeps.  Every sum is a fixed-order reduction of elementwise products,
-so the result does not depend on the BLAS thread count.
+eta, is reproduced to rounding.  The moments come from the shared kernel
+`noise.PhasorMoments`.  Every sum is a fixed-order reduction of
+elementwise products, so the result does not depend on the BLAS thread
+count.
 
 `rtol` bounds the estimated purity error.  One pass gives the curves P_n
 and P_{n/2} for n and n/2 substeps per dt_out (a coarse step uses the
@@ -39,11 +39,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HorizonError, IntegrationAbort, ParameterError
-from .noise import NoiseSpectrum, sample_signal
+from .noise import (NoiseSpectrum, PhasorMoments, first_moment_weights,
+                    interval_weights, sample_signal)
 
 QUBIT_STREAM_TAG = "qubit"
 ENGINE = "magnus4-batched"
-_REANCHOR = 64          # substeps between exact evaluations of the phases
 _MAX_SUBSTEPS = 1024    # per dt_out
 _CHUNK_ELEMENTS = 1 << 16
 
@@ -81,18 +81,6 @@ class PurityCurve:
     error_estimate: float = 0.0     # Richardson estimate of the purity error
 
 
-def _q(x: np.ndarray) -> np.ndarray:
-    """(sin x / x - cos x) / x, by its series below x = 0.1."""
-    out = np.empty_like(x)
-    small = x < 0.1
-    xs = x[small]
-    x2 = xs * xs
-    out[small] = xs * (1 / 3 - x2 * (1 / 30 - x2 * (1 / 840 - x2 / 45360)))
-    xl = x[~small]
-    out[~small] = (np.sin(xl) / xl - np.cos(xl)) / xl
-    return out
-
-
 def _step(up, down, a_x, a_y, a_z):
     """(up, down) after exp(-i (a_x sigma_x + a_y sigma_y + a_z sigma_z))."""
     if a_z == 0.0:      # h_z = 0, so a_y = 0: a rotation about x
@@ -122,34 +110,22 @@ def _propagate(run: QubitRun, omega, amp, phase, n_out: int,
     rho = np.zeros((2, n_out, 2, 2), dtype=complex)
     for lo in range(0, n_real, rows):
         om, am, ph = (a[lo:lo + rows] for a in (omega, amp, phase))
-        x = 0.5 * h * om
-        weights = [scale * h * am * (np.sin(x) / x)]
+        weights = [interval_weights(om, am, scale, h)]
         if a_z:     # a_y = -2 h h_z E1, folded into one weight
-            weights.append((scale * h * h * run.h_z) * am * _q(x))
-        # weighted phasors w e^{i(w_k t_m - phi_k)}: a_x and a_y are the
-        # sums of their real and imaginary parts
-        moments = [np.empty_like(om, dtype=complex) for _ in weights]
-        advance = np.exp(1j * h * om)
-        phasor = np.empty_like(advance)
+            weights.append(first_moment_weights(om, am, scale * h * h * run.h_z,
+                                                h))
+        # a_x and a_y are the real and imaginary parts of the moments summed
+        # over modes; substep j is centred on (j + 1/2) h
+        kernel = PhasorMoments(om, ph, np.stack(weights), h, offset=0.5)
         # psi over (fine/coarse, time, component, realization)
         psi = np.zeros((2, n_out, 2, om.shape[0]), dtype=complex)
         psi[:, 0, 0] = 1.0
         up, down = psi[0, 0]
         up_c, down_c = psi[1, 0]
         a_y = 0.0
-        j = 0
         for k in range(1, n_out):
             for i in range(n):
-                if j % _REANCHOR:
-                    for m in moments:
-                        m *= advance
-                else:
-                    arg = (j + 0.5) * h * om - ph
-                    np.cos(arg, out=phasor.real)
-                    np.sin(arg, out=phasor.imag)
-                    for w, m in zip(weights, moments):
-                        np.multiply(phasor, w, out=m)
-                j += 1
+                moments = kernel.next()
                 a_x = moments[0].real.sum(axis=1)
                 if a_z:
                     a_y = moments[1].imag.sum(axis=1)

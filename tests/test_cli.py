@@ -1,6 +1,11 @@
 """End-to-end CLI verbs on small configurations."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,9 @@ from annealkit.chimera import (build_full_embedding, synthesize_samples,
                                write_samples)
 from annealkit.config import (apply_override, config_digest, load_config,
                               validate_config)
+from annealkit.ensemble import ENGINE, SweepPlan
 from annealkit.errors import ConfigError, SchemaError
+from annealkit.noise import NoiseSpectrum
 from annealkit.tables import read_table, write_table
 
 
@@ -123,14 +130,14 @@ class TestSimulateVerb:
     def test_partial_failure_exit_code(self, tmp_path, monkeypatch):
         from annealkit import ensemble
         from annealkit.errors import IntegrationAbort
-        real_fn = ensemble._one_realization
+        real_fn = ensemble._pilot
 
-        def sometimes_fails(p, L, v, r):
+        def sometimes_fails(p, L, v):
             if v == 0.2:
                 raise IntegrationAbort("stiff", t=0.0, step=1e-15)
-            return real_fn(p, L, v, r)
+            return real_fn(p, L, v)
 
-        monkeypatch.setattr(ensemble, "_one_realization", sometimes_fails)
+        monkeypatch.setattr(ensemble, "_pilot", sometimes_fails)
         cfg = write_config(tmp_path, {
             "output_dir": str(tmp_path),
             "simulate": {"sizes": [4], "velocities": [0.2, 0.5],
@@ -390,19 +397,93 @@ class TestCollapseSharesFitWriter:
             assert fitted.data.tobytes() == collapsed.data.tobytes()
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy.optimize alone takes ~0.6 s to import; every verb pays for
-    what `annealkit.cli` imports at start-up, so scipy stays lazy."""
-    import os
-    import subprocess
-    import sys
+class TestSweepEngineProvenance:
+    REPO = Path(__file__).resolve().parent.parent
 
+    def test_allsites_digest_moved_with_the_engine(self):
+        # the committed allsites rows came from DOP853 under 59b41100e4acb11e
+        doc = load_config(str(self.REPO / "configs" / "sweep_allsites.json"))
+        sec = dict(doc["simulate"])
+        sec.pop("output")
+        sec["spectrum"] = NoiseSpectrum(**sec["spectrum"])
+        plan = SweepPlan(master_seed=doc["master_seed"], **sec)
+        assert plan.digest() != "59b41100e4acb11e"
+
+    def test_resuming_the_dop853_table_is_refused(self, tmp_path, capsys):
+        table = self.REPO / "results" / "allsites_curve.tsv"
+        assert read_table(table).meta["plan_digest"] == "59b41100e4acb11e"
+        shutil.copy(table, tmp_path / "allsites_curve.tsv")
+        config = str(self.REPO / "configs" / "sweep_allsites.json")
+        assert cli.main(["simulate", "--config", config,
+                         "--output-dir", str(tmp_path)]) == 1
+        assert "different plan" in capsys.readouterr().err
+        assert (tmp_path / "allsites_curve.tsv").read_bytes() == \
+            table.read_bytes()
+        assert not (tmp_path / "allsites_curve.tsv.meta.json").exists()
+
+    def test_sidecar_records_point_health(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "output_dir": str(tmp_path),
+            "simulate": {"sizes": [4], "velocities": [0.5, 1.0],
+                         "noise_mode": "none", "output": "t.tsv"}})
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        sidecar = json.loads((tmp_path / "t.tsv.meta.json").read_text())
+        points = sidecar["points"]
+        assert [(p["L"], p["v"]) for p in points] == [(4, 1.0), (4, 0.5)]
+        for point in points:
+            assert point["engine"] == ENGINE
+            assert point["steps"] >= 2 and point["steps"] % 2 == 0
+            assert 0 <= point["richardson_delta_e"] < 1e-6
+            assert 0 < point["error_ratio"] <= 1.0
+            assert point["orthogonality_defect"] <= 1e-12
+        table = read_table(tmp_path / "t.tsv")
+        assert set(table.meta) == {"schema", "generated_by", "plan_digest",
+                                   "config_digest"}
+        # a resume keeps the entries of the points it does not recompute
+        lines = (tmp_path / "t.tsv").read_text().splitlines()
+        (tmp_path / "t.tsv").write_text("\n".join(lines[:-1]) + "\n")
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        again = json.loads((tmp_path / "t.tsv.meta.json").read_text())
+        assert again["points"] == points
+
+    def test_table_bytes_independent_of_workers_and_blas_threads(
+            self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "simulate": {"sizes": [4, 6], "velocities": [0.2, 1.0],
+                         "n_realizations": 100,
+                         "spectrum": {"n_modes": 16, "coupling": 0.05},
+                         "output": "t.tsv"}})
+        tables = set()
+        for workers, threads in (("1", "1"), ("2", "1"), ("1", "2"),
+                                 ("2", "2")):
+            out = tmp_path / f"w{workers}-b{threads}"
+            env = dict(os.environ, PYTHONPATH=str(self.REPO / "src"),
+                       OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "annealkit.cli", "simulate",
+                            "--config", cfg, "--workers", workers,
+                            "--output-dir", str(out)],
+                           env=env, check=True, capture_output=True)
+            tables.add((out / "t.tsv").read_bytes())
+        assert len(tables) == 1
+
+
+def _scipy_modules_after(statement: str) -> str:
     import annealkit
 
     src = os.path.dirname(os.path.dirname(annealkit.__file__))
-    code = ("import sys, annealkit.cli; "
+    code = (f"import sys; {statement}; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy.optimize alone takes ~0.6 s to import; every verb pays for
+    what `annealkit.cli` imports at start-up, so scipy stays lazy."""
+    assert _scipy_modules_after("import annealkit.cli") == "[]"
+
+
+def test_ensemble_import_loads_no_scipy():
+    """The sweep path (ensemble, fermion, noise) runs without scipy."""
+    assert _scipy_modules_after("import annealkit.ensemble") == "[]"

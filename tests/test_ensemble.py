@@ -131,6 +131,49 @@ class TestRunPoint:
         assert err == row.delta_e_stderr
 
 
+class TestEngine:
+    ALLSITES = dict(sizes=(32,), velocities=(0.01,), n_realizations=100,
+                    spectrum=NoiseSpectrum(n_modes=100),
+                    master_seed=20260810, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("r, expected", [(0, 3.1743892444),
+                                             (1, 3.2012727500),
+                                             (2, 3.1649918978)])
+    def test_allsites_realizations_match_tight_reference(self, r, expected):
+        # DOP853 at rtol=1e-11, atol=1e-13; the engine at the sweep's
+        # tolerance errs by ~4e-6, about its own Richardson estimate
+        de = ensemble._one_realization(SweepPlan(**self.ALLSITES), 32, 0.01, r)
+        assert de == pytest.approx(expected, abs=2e-5)
+
+    def test_pilot_is_realization_zero(self):
+        plan = noisy_plan()
+        health = {}
+        row = run_point(4, 1.0, plan, health=health)
+        assert health["engine"] == ensemble.ENGINE
+        steps = health["steps"]
+        assert steps % 2 == 0
+        assert 0 < health["error_ratio"] <= 1.0
+        assert health["orthogonality_defect"] <= 1e-12
+        assert health["richardson_delta_e"] >= 0.0
+        energies = [ensemble._one_realization(plan, 4, 1.0, r, steps)
+                    for r in range(plan.n_realizations)]
+        assert row.delta_e_mean == bin_stats(np.array(energies),
+                                             plan.n_bins)[0]
+
+    def test_tolerance_domain(self):
+        for rtol in (0.0, -1e-6):
+            with pytest.raises(ParameterError):
+                noisy_plan(rtol=rtol)
+        with pytest.raises(ParameterError):
+            noisy_plan(atol=-1e-9)
+
+    def test_digest_names_the_engine(self, monkeypatch):
+        plan = noisy_plan()
+        before = plan.digest()
+        monkeypatch.setattr(ensemble, "ENGINE", "another-engine")
+        assert plan.digest() != before
+
+
 class TestRunSweep:
     def test_grid_cardinality(self, tmp_path):
         plan = SweepPlan(sizes=(4, 6), velocities=(0.5, 1.0, 2.0),
@@ -167,14 +210,14 @@ class TestRunSweep:
                                                        monkeypatch):
         plan = SweepPlan(sizes=(4,), velocities=(0.5, 1.0), n_realizations=1,
                          noise_mode="none")
-        real_fn = ensemble._one_realization
+        real_fn = ensemble._pilot
 
-        def sometimes_fails(p, L, v, r):
+        def sometimes_fails(p, L, v):
             if v == 0.5:
                 raise IntegrationAbort("stiff", t=0.1, step=1e-14)
-            return real_fn(p, L, v, r)
+            return real_fn(p, L, v)
 
-        monkeypatch.setattr(ensemble, "_one_realization", sometimes_fails)
+        monkeypatch.setattr(ensemble, "_pilot", sometimes_fails)
         result = run_sweep(plan, out_path=tmp_path / "c.tsv")
         assert len(result.failures) == 1
         assert result.failures[0][:2] == (4, 0.5)

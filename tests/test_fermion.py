@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from annealkit import ed, fermion
-from annealkit.errors import ParameterError
-from annealkit.fermion import (BdgModes, ChainSpec, _Rhs, bdg_matrices,
+from annealkit.errors import IntegrationAbort, ParameterError
+from annealkit.fermion import (BdgModes, ChainSpec, bdg_matrices,
                                correlations, energy_expectation, evolve,
-                               evolve_checkpointed, field_offset,
-                               ground_energy, ground_state,
+                               field_offset, ground_energy, ground_state,
+                               orthogonality_defect, propagate, propagator,
                                quasiparticle_energies, residual_energy,
-                               spin_spectrum, transverse_magnetization)
+                               spin_spectrum, transverse_magnetization,
+                               vacuum_residual_energy)
 from annealkit.noise import NoiseSpectrum, sample_signal
 
 I2 = np.eye(2)
@@ -79,23 +80,6 @@ class TestBdgMatrices:
         spec_f = spin_spectrum(A, B, field_offset(chain, 0.5))
         spec_e = ed.spectrum_exact(chain, 0.5)
         assert np.abs(spec_f - spec_e).max() < 1e-10
-
-    def test_rhs_matches_dense_bdg_form(self):
-        # the structured hot loop equals i d/dt [U;V] = [[A,B],[-B,-A]][U;V]
-        chain = noisy_chain(6, seed=3)
-        T = 4.0
-        rhs = _Rhs(chain, T)
-        modes = random_modes(6, seed=11)
-        phi = modes.U + modes.V
-        psi = modes.U - modes.V
-        y = np.concatenate([phi, psi]).ravel()
-        t = 1.234
-        out = rhs(t, y).reshape(12, 6)
-        dU = 0.5 * (out[:6] + out[6:])
-        dV = 0.5 * (out[:6] - out[6:])
-        A, B = bdg_matrices(chain, t / T, t)
-        assert np.abs(dU - (-1j) * (A @ modes.U + B @ modes.V)).max() < 1e-12
-        assert np.abs(dV - (-1j) * (-B @ modes.U - A @ modes.V)).max() < 1e-12
 
 
 class TestGroundState:
@@ -173,8 +157,8 @@ class TestEvolution:
     def test_nambu_preserved_on_long_run(self):
         chain = ChainSpec(size=32)
         modes = ground_state(*bdg_matrices(chain, 0.0))
-        times = np.linspace(100.0, 1000.0, 10)
-        for _, m in evolve_checkpointed(modes, chain, T=1000.0, times=times):
+        for T in np.linspace(100.0, 1000.0, 10):
+            m = evolve(modes, chain, T=T)
             assert m.orthonormality_defect() < 1e-6
             assert m.pairing_defect() < 1e-6
 
@@ -186,32 +170,85 @@ class TestEvolution:
         assert de[10_000.0] < de[100.0] < de[1.0]
 
     def test_solver_freed_on_return(self, monkeypatch):
-        # reference counting alone must release the stepper and its stage
-        # arrays, so peak memory does not depend on when the cyclic
-        # collector happens to run
+        # reference counting alone must release the oracle's stepper and
+        # its stage arrays, so peak memory does not depend on when the
+        # cyclic collector happens to run
         made = []
 
-        class Recorded(fermion.DOP853):
+        class Recorded(ed.DOP853):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 made.append(weakref.ref(self))
 
-        monkeypatch.setattr(fermion, "DOP853", Recorded)
+        monkeypatch.setattr(ed, "DOP853", Recorded)
         chain = ChainSpec(size=4)
-        modes = ground_state(*bdg_matrices(chain, 0.0))
         gc.disable()
         try:
-            evolve(modes, chain, T=1.0)
+            ed.anneal_exact(chain, T=1.0)
             alive = [ref() is not None for ref in made]
         finally:
             gc.enable()
         assert alive == [False]
 
-    def test_checkpoint_times_must_be_sorted(self):
+
+class TestMajoranaEngine:
+    def test_fourth_order_against_dense_oracle(self):
+        # a noisy point: the error falls ~16x per halving of h
+        chain = noisy_chain(8, seed=7, coupling=0.3)
+        T = 10.0
+        exact = ed.residual_energy_exact(
+            ed.anneal_exact(chain, T, rtol=1e-12, atol=1e-14))
+        errors = [abs(vacuum_residual_energy(propagator(chain, T, n)) - exact)
+                  for n in (20, 40, 80)]
+        ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+        assert all(13.0 < r < 20.0 for r in ratios), ratios
+
+    def test_propagator_orthogonal(self):
+        chain = noisy_chain(16, seed=2, coupling=0.1)
+        for steps in (7, 400, 2000):
+            assert orthogonality_defect(propagator(chain, 100.0, steps)) \
+                <= 1e-12
+
+    def test_schedule_blocks_leave_the_result_unchanged(self, monkeypatch):
+        chain = noisy_chain(6, seed=3, coupling=0.1)
+        whole = propagator(chain, 5.0, 10)
+        monkeypatch.setattr(fermion, "_BLOCK", 3)
+        assert np.array_equal(propagator(chain, 5.0, 10), whole)
+
+    def test_vacuum_energy_matches_mode_route(self):
+        chain = noisy_chain(10, seed=4, coupling=0.05)
+        modes = ground_state(*bdg_matrices(chain, 0.0, 0.0))
+        final = evolve(modes, chain, T=20.0)
+        S = propagate(chain, 20.0).fine
+        assert vacuum_residual_energy(S) == pytest.approx(
+            residual_energy(correlations(final)), abs=1e-12)
+
+    def test_tolerance_domain(self):
         chain = ChainSpec(size=4)
         modes = ground_state(*bdg_matrices(chain, 0.0))
+        for rtol in (0.0, -1e-8, float("nan")):
+            with pytest.raises(ParameterError):
+                evolve(modes, chain, T=1.0, rtol=rtol)
         with pytest.raises(ParameterError):
-            evolve_checkpointed(modes, chain, T=1.0, times=[0.8, 0.2])
+            propagate(chain, 1.0, atol=-1.0)
+
+    def test_step_cap_aborts(self):
+        with pytest.raises(IntegrationAbort):
+            propagate(ChainSpec(size=4), 1.0, rtol=1e-300, atol=0.0)
+
+    def test_accepted_ratio_and_step_count(self):
+        prop = propagate(noisy_chain(6, seed=1), 10.0, rtol=1e-8, atol=1e-10)
+        assert 0.0 < prop.error_ratio <= 1.0
+        assert prop.steps % 2 == 0 and prop.steps >= 20
+
+    @pytest.mark.parametrize("v, expected", [(0.1, 102.97428946156761),
+                                             (0.01, 31.684286836447537)])
+    def test_noise_free_reference(self, v, expected):
+        # DOP853 at rtol=1e-11, atol=1e-13; the engine at the tolerance of
+        # the criterion-2 slice
+        S = propagate(ChainSpec(size=256), 1.0 / v, rtol=1e-8,
+                      atol=1e-10).fine
+        assert vacuum_residual_energy(S) == pytest.approx(expected, abs=5e-5)
 
 
 class TestObservables:

@@ -9,8 +9,10 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 
 from annealkit.errors import ParameterError
-from annealkit.noise import (NoiseSignal, NoiseSpectrum, SignalBank,
-                             autocorrelation_exact, sample_signal)
+from annealkit.noise import (REANCHOR, NoiseSignal, NoiseSpectrum,
+                             PhasorMoments, autocorrelation_exact,
+                             first_moment_weights, interval_weights,
+                             sample_signal)
 
 SPEC = NoiseSpectrum(p=0.75, omega0=1.0, coupling=0.01, n_modes=1000)
 
@@ -115,13 +117,6 @@ class TestEval:
         se = vals.std() / np.sqrt(vals.size)
         assert abs(vals.mean()) < 5 * se
 
-    def test_eval_many_matches_eval(self):
-        sig = sample_signal(SPEC, 12)
-        ts = np.array([0.0, 0.4, 1.7, 22.2])
-        many = sig.eval_many(ts)
-        single = [sig.eval(t) for t in ts]
-        assert np.allclose(many, single, atol=1e-12)
-
 
 class TestAutocorrelation:
     def test_zero_lag_is_unit_variance(self):
@@ -153,7 +148,8 @@ class TestAutocorrelation:
         ts = np.array([t0] + [t0 + tau for tau in taus])
         prods = np.empty((n_seeds, len(taus)))
         for r in range(n_seeds):
-            vals = sample_signal(spec, (77, r)).eval_many(ts)
+            sig = sample_signal(spec, (77, r))
+            vals = np.array([sig.eval(t) for t in ts])
             prods[r] = vals[0] * vals[1:]
         for j, tau in enumerate(taus):
             mean = prods[:, j].mean()
@@ -185,18 +181,43 @@ class TestAutocorrelation:
         assert abs(var0 - var1) < 5 * err
 
 
-class TestSignalBank:
-    def test_matches_individual_signals(self):
-        sigs = [sample_signal(NoiseSpectrum(n_modes=32), (4, i))
-                for i in range(5)]
-        sigs[2] = None
-        bank = SignalBank(sigs, size=5)
-        for t in (0.0, 1.1, 8.8):
-            got = bank.eval_at(t)
-            for i, sig in enumerate(sigs):
-                want = 0.0 if sig is None else sig.eval(t)
-                assert got[i] == pytest.approx(want, abs=1e-12)
+class TestPhasorMoments:
+    SIGNAL = sample_signal(NoiseSpectrum(n_modes=50), 31)
 
-    def test_empty_bank_returns_zeros(self):
-        bank = SignalBank([None, None], size=2)
-        assert np.array_equal(bank.eval_at(3.2), np.zeros(2))
+    def modes(self):
+        sig = self.SIGNAL
+        return sig.omega[None], sig.amp[None], sig.phase[None]
+
+    def test_sub_interval_integrals_are_exact(self):
+        # signed lengths and centres within a step, one running backwards
+        h = 0.37
+        lengths = np.array([0.3, -0.05, 0.75]) * h
+        centres = np.array([0.15, 0.275, 0.625]) * h
+        omega, amp, phase = self.modes()
+        scale = 1.0 / np.sqrt(self.SIGNAL.n_modes)
+        weights = np.stack([interval_weights(omega, amp, scale, d)
+                            * np.exp(1j * c * omega)
+                            for d, c in zip(lengths, centres)])
+        kernel = PhasorMoments(omega, phase, weights, h)
+        for j in range(2 * REANCHOR + 20):
+            got = kernel.next().real.sum(axis=-1)[:, 0]
+            for d, c, value in zip(lengths, centres, got):
+                t_c = j * h + c
+                want, _ = quad(self.SIGNAL.eval, t_c - d / 2, t_c + d / 2,
+                               epsabs=1e-14, epsrel=1e-13)
+                assert value == pytest.approx(want, abs=1e-12), (j, d)
+
+    def test_first_moment(self):
+        h = 0.8
+        omega, amp, phase = self.modes()
+        scale = 1.0 / np.sqrt(self.SIGNAL.n_modes)
+        weights = first_moment_weights(omega, amp, scale * h * h / 2, h)[None]
+        kernel = PhasorMoments(omega, phase, weights, h, offset=0.5)
+        for j in range(REANCHOR + 3):
+            got = -kernel.next().imag.sum()
+            t_c = (j + 0.5) * h
+            want, _ = quad(lambda t: (t - t_c) * self.SIGNAL.eval(t),
+                           t_c - h / 2, t_c + h / 2, epsabs=1e-14,
+                           epsrel=1e-13)
+            assert got == pytest.approx(want, abs=1e-12), j
+
