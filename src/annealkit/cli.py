@@ -142,7 +142,12 @@ def cmd_qubit(args) -> int:
         sec["spectrum"] = NoiseSpectrum(**sec["spectrum"])
     run = QubitRun(master_seed=doc["master_seed"], **sec)
     start = time.perf_counter()
-    curve = evolve_qubit(run)
+
+    def progress(substeps, done, chunks):
+        print(f"  substeps {substeps}: chunk {done}/{chunks} "
+              f"({time.perf_counter() - start:.1f} s)", flush=True)
+
+    curve = evolve_qubit(run, progress)
     out = _outpath(doc, output)
     write_table(out, ("t", "purity"), zip(curve.times, curve.purity),
                 {"schema": "purity-curve/1", "config_digest": digest,

@@ -10,10 +10,15 @@ appended to the output table immediately and skipped on restart.
 The step count of a point is chosen once, in the calling process, by the
 tolerance search of `fermion.propagate` on realization 0 (the pilot,
 whose fine run is kept as realization 0's result), and every other
-realization runs that many steps.  A realization starts from the s = 0
-ground state, the vacuum (J(0) = 0), and its residual energy is read off
-the Majorana propagator by elementwise sums: no BLAS call, so the table
-bytes depend on neither the worker count nor the BLAS thread count.
+realization runs that many steps.  Realizations 1..n-1 run in
+consecutive chunks, each through one batched `fermion.propagator` call;
+the chunk size depends on the chain size and mode count alone
+(_CHUNK_ELEMENTS), and a worker pool maps whole chunks.  A realization
+starts from the s = 0 ground state, the vacuum (J(0) = 0), and its
+residual energy is read off its own slice of the batch by elementwise
+sums: no BLAS call, and a batched propagator equals the single one bit
+for bit, so the table bytes depend on neither the worker count, the
+BLAS thread count nor the chunking.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -43,6 +48,13 @@ NOISE_MODES = ("all", "single", "none")
 CURVE_COLUMNS = ("L", "v", "delta_e_mean", "delta_e_stderr", "n_real", "n_bins")
 CURVE_SCHEMA = "ensemble-curve/1"
 SWEEP_STREAM_TAG = "sweep"
+# working-set budget of one batched propagator call, in chain sites times
+# noise modes per realization.  With 100 modes it batches 4 realizations
+# at L=32 and 2 at L=64, where per-call overhead is a large share of a
+# step (all-sites L=64 only breaks even; single-site gains), and none
+# from L=128 on, where the bulk arithmetic dominates.  4 all-sites
+# realizations at L=32 keep the peak memory within ~3 MB of one.
+_CHUNK_ELEMENTS = 12_800
 
 
 def default_velocity_grid(L: int, count: int = 20) -> tuple:
@@ -181,14 +193,18 @@ def _pilot(plan: SweepPlan, L: int, v: float) -> Pilot:
                      orthogonality_defect(prop.coarse)))
 
 
-def _one_realization(plan: SweepPlan, L: int, v: float, r: int,
-                     steps: Optional[int] = None) -> float:
-    """Residual energy of realization r after `steps` steps (default: the
-    count the point's pilot chooses)."""
-    if steps is None:
-        steps = _pilot(plan, L, v).steps
-    chain = build_chain(plan, L, v, r)
-    return residual_energy(propagator(chain, 1.0 / v, steps))
+def _chunk_size(L: int, n_modes: int) -> int:
+    """Realizations propagated together at chain size L: as many as keep
+    their chain sites times noise modes within _CHUNK_ELEMENTS."""
+    return max(1, _CHUNK_ELEMENTS // (L * n_modes))
+
+
+def _realizations(plan: SweepPlan, L: int, v: float, realizations: range,
+                  steps: int) -> list:
+    """Residual energies of the given realizations after `steps` steps,
+    propagated together."""
+    chains = [build_chain(plan, L, v, r) for r in realizations]
+    return [residual_energy(S) for S in propagator(chains, 1.0 / v, steps)]
 
 
 def run_point(L: int, v: float, plan: SweepPlan, workers: int = 1,
@@ -203,15 +219,16 @@ def run_point(L: int, v: float, plan: SweepPlan, workers: int = 1,
     try:
         pilot = _pilot(plan, L, v)
         energies[0] = pilot.delta_e
-        rest = range(1, n_real)
-        if workers > 1 and n_real > 2:
+        size = _chunk_size(L, plan.spectrum.n_modes)
+        chunks = [range(lo, min(lo + size, n_real))
+                  for lo in range(1, n_real, size)]
+        run = partial(_realizations, plan, L, v, steps=pilot.steps)
+        if workers > 1 and len(chunks) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                energies[1:] = list(pool.map(
-                    _one_realization, repeat(plan), repeat(L), repeat(v),
-                    rest, repeat(pilot.steps), chunksize=4))
+                results = list(pool.map(run, chunks))
         else:
-            for r in rest:
-                energies[r] = _one_realization(plan, L, v, r, pilot.steps)
+            results = map(run, chunks)
+        energies[1:] = [e for chunk in results for e in chunk]
     except IntegrationAbort as exc:
         raise IntegrationAbort(f"point (L={L}, v={v}) failed: {exc}",
                                t=exc.t, step=exc.step) from exc

@@ -51,6 +51,11 @@ merge into one.  R is stored transposed with its Majorana columns
 interleaved (a_1, b_1, a_2, ...), so both layer kinds are one complex
 multiply over a view: pairs (a_i, b_i) are the complex columns of the
 array, pairs (b_i, a_{i+1}) those of the array shifted by one column.
+A batch of chains that share size, schedules and coupling (the noise
+realizations of a sweep point) runs as one (B, 2L, 2L) array: the
+schedule angles and bond factors are computed once, one PhasorMoments
+covers every noisy (chain, site) row, and each propagator of the batch
+is bit for bit the one its chain gives alone.
 
 Accuracy follows the per-step tolerance of an adaptive Runge-Kutta run:
 propagate() accepts n steps when
@@ -65,6 +70,7 @@ a failed ratio e and aborts beyond _MAX_STEPS steps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -249,30 +255,37 @@ def _on_grid(schedule: Callable, s: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(schedule(s), dtype=float), s.shape)
 
 
-def _noise_kernel(chain: ChainSpec, h: float):
-    """(sites, PhasorMoments) for the chain's signals, or None if noiseless.
+def _noise_kernel(chains, h: float):
+    """(rows, PhasorMoments) for the noisy sites of a batch, or None.
 
-    The kernel's moments have shape (7, sites, modes); their real parts
-    summed over modes are the noise parts 2 lambda int eta of the field
-    angles over the 7 sub-intervals of a step, measured from its start.
+    `rows` indexes the batch's sites flattened as b * L + i, or is a full
+    slice when every site is noisy.  The kernel's moments have shape
+    (7, rows, modes); their real parts summed over modes are the noise
+    parts 2 lambda int eta of the field angles over the 7 sub-intervals
+    of a step, measured from its start.
     """
-    if chain.signals is None or chain.coupling == 0.0:
+    coupling, L = chains[0].coupling, chains[0].size
+    if coupling == 0.0:
         return None
-    sites = [i for i, sig in enumerate(chain.signals) if sig is not None]
-    if not sites:
+    rows, sigs = [], []
+    for b, chain in enumerate(chains):
+        for i, sig in enumerate(chain.signals or ()):
+            if sig is not None:
+                rows.append(b * L + i)
+                sigs.append(sig)
+    if not sigs:
         return None
-    sigs = [chain.signals[i] for i in sites]
     if len({sig.n_modes for sig in sigs}) != 1:
-        raise ParameterError("all signals of a chain must share n_modes")
+        raise ParameterError("all signals of a batch must share n_modes")
     omega, amp, phase = (np.stack([getattr(sig, name) for sig in sigs])
                          for name in ("omega", "amp", "phase"))
-    scale = 2.0 * chain.coupling / np.sqrt(omega.shape[1])
-    weights = np.stack([interval_weights(omega, amp, scale, a * h)
-                        * np.exp(1j * (c * h) * omega)
-                        for a, c in zip(_ALPHA, _CENTRES)])
-    if len(sites) == chain.size:
-        sites = slice(None)
-    return sites, PhasorMoments(omega, phase, weights, h)
+    scale = 2.0 * coupling / np.sqrt(omega.shape[1])
+    weights = np.empty((len(_ALPHA),) + omega.shape, dtype=complex)
+    for out, a, c in zip(weights, _ALPHA, _CENTRES):
+        np.multiply(interval_weights(omega, amp, scale, a * h),
+                    np.exp(1j * (c * h) * omega), out=out)
+    rows = slice(None) if len(rows) == len(chains) * L else np.array(rows)
+    return rows, PhasorMoments(omega, phase, weights, h)
 
 
 def _schedule_angles(chain: ChainSpec, T: float, h: float, first: int,
@@ -292,42 +305,68 @@ def _schedule_angles(chain: ChainSpec, T: float, h: float, first: int,
     return field, bond
 
 
-def propagator(chain: ChainSpec, T: float, steps: int) -> np.ndarray:
-    """The Majorana propagator of the anneal after `steps` S6 steps.
+def _shared(chain: ChainSpec) -> tuple:
+    return chain.size, chain.bond_coupling, chain.base_field, chain.coupling
 
-    Returned transposed with interleaved columns: entry [k, 2i] is
-    R[a_i, k] and [k, 2i + 1] is R[b_i, k], where row c of R expands the
-    Heisenberg-evolved Majorana c in the Majoranas at t = 0.
+
+def propagator(chains, T: float, steps: int) -> np.ndarray:
+    """The Majorana propagators of the anneal after `steps` S6 steps.
+
+    `chains` is one ChainSpec, giving its (2L, 2L) propagator, or a
+    sequence of B chains, giving theirs stacked as (B, 2L, 2L).  The
+    chains of a batch share size, schedules, coupling and n_modes; the
+    schedule angles and bond factors are computed once for the batch, and
+    each propagator is bit for bit the one its chain gives alone.
+
+    A propagator is returned transposed with interleaved columns: entry
+    [k, 2i] is R[a_i, k] and [k, 2i + 1] is R[b_i, k], where row c of R
+    expands the Heisenberg-evolved Majorana c in the Majoranas at t = 0.
     """
-    L = chain.size
+    if isinstance(chains, ChainSpec):
+        return propagator([chains], T, steps)[0]
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) \
+            or steps < 1:
+        raise ParameterError(f"step count must be a positive int, got {steps!r}")
+    if not 0.0 < T < math.inf:
+        raise ParameterError(f"anneal time must be positive and finite, got {T}")
+    if not chains:
+        raise ParameterError("propagator needs at least one chain")
+    lead = chains[0]
+    if any(_shared(chain) != _shared(lead) for chain in chains):
+        raise ParameterError("the chains of a batch must share size, "
+                             "schedules and coupling")
+    B, L = len(chains), lead.size
     h = T / steps
-    noise = _noise_kernel(chain, h)
+    noise = _noise_kernel(chains, h)
 
-    S = np.eye(2 * L)
+    S = np.empty((B, 2 * L, 2 * L))
+    S[:] = np.eye(2 * L)
     pairs = S.view(complex)                 # columns a_i + i b_i
     # the array shifted by one entry, as one flat run of b_i + i a_{i+1};
     # every L-th entry pairs the last b of a row with the first a of the
-    # next, and is put back after each bond layer
+    # next (also across propagators), and is put back after each bond layer
     links = S.reshape(-1)[1:-1].view(complex)
     straddle = slice(L - 1, None, L)
-    kept = np.empty(2 * L - 1, dtype=complex)
-    angle = np.empty((7, L if noise else 1))
-    carry = np.zeros(angle.shape[1])        # last sub-interval, merged on
+    kept = np.empty(2 * B * L - 1, dtype=complex)
+    # field angles per (layer, propagator, -, site), broadcast over rows
+    angle = np.empty((7, B, 1, L) if noise is not None else (7, 1, 1, 1))
+    noisy = angle.reshape(7, -1)
+    carry = np.zeros(angle.shape[1:])      # last sub-interval, merged on
     for first in range(0, steps, _BLOCK):
-        field, bond = _schedule_angles(chain, T, h, first,
+        field, bond = _schedule_angles(lead, T, h, first,
                                        min(first + _BLOCK, steps))
         for field_k, bond_k in zip(field, bond):
-            angle[:] = field_k[:, None]
+            angle[:] = field_k[:, None, None, None]
             if noise is not None:
-                sites, kernel = noise
-                angle[:, sites] += kernel.next().real.sum(axis=-1)
+                rows, kernel = noise
+                noisy[:, rows] += kernel.next().real.sum(axis=-1)
             angle[0] += carry
             carry = angle[6].copy()
             turn = np.exp(-1j * angle[:6])
-            for j in range(6):
-                pairs *= turn[j]
+            for turn_j, bond_j in zip(turn, bond_k):
+                pairs *= turn_j
                 kept[:] = links[straddle]
-                links *= bond_k[j]
+                links *= bond_j
                 links[straddle] = kept
     pairs *= np.exp(-1j * carry)
     return S
@@ -357,8 +396,8 @@ def propagate(chain: ChainSpec, T: float, rtol: float = 1e-8,
         raise ParameterError(f"rtol must be positive, got {rtol}")
     if not atol >= 0.0:
         raise ParameterError(f"atol must be non-negative, got {atol}")
-    if not T > 0.0:
-        raise ParameterError(f"anneal time must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ParameterError(f"anneal time must be positive and finite, got {T}")
     n = _even(T / _FIRST_STEP)
     while True:
         fine = propagator(chain, T, n)

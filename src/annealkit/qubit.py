@@ -94,13 +94,15 @@ def _step(up, down, a_x, a_y, a_z):
     return alpha * up - beta.conj() * down, beta * up + alpha.conj() * down
 
 
-def _propagate(run: QubitRun, omega, amp, phase, n_out: int,
-               n: int) -> np.ndarray:
+def _propagate(run: QubitRun, omega, amp, phase, n_out: int, n: int,
+               progress=None) -> np.ndarray:
     """Density matrices (2, n_out, 2, 2) from n Magnus substeps per dt_out
     and, from the same moments, from n/2.
 
     Realizations run in chunks of about _CHUNK_ELEMENTS mode entries, so
     the phase arrays stay in cache; each chunk runs the whole time grid.
+    `progress`, if given, is called as progress(n, chunks_done, chunks)
+    after each chunk.
     """
     n_real, n_modes = omega.shape
     h = run.dt_out / n
@@ -108,7 +110,8 @@ def _propagate(run: QubitRun, omega, amp, phase, n_out: int,
     a_z = h * run.h_z
     rows = max(1, _CHUNK_ELEMENTS // n_modes)
     rho = np.zeros((2, n_out, 2, 2), dtype=complex)
-    for lo in range(0, n_real, rows):
+    chunks = range(0, n_real, rows)
+    for done, lo in enumerate(chunks, 1):
         om, am, ph = (a[lo:lo + rows] for a in (omega, amp, phase))
         weights = [interval_weights(om, am, scale, h)]
         if a_z:     # a_y = -2 h h_z E1, folded into one weight
@@ -139,6 +142,8 @@ def _propagate(run: QubitRun, omega, amp, phase, n_out: int,
                     first_y + a_y + a_z * (first_x - a_x), 2 * a_z)
             psi[:, k] = ((up, down), (up_c, down_c))
         rho += (psi[:, :, :, None] * psi[:, :, None, :].conj()).sum(axis=-1)
+        if progress is not None:
+            progress(n, done, len(chunks))
     return rho / n_real
 
 
@@ -146,8 +151,12 @@ def _purity(rho: np.ndarray) -> np.ndarray:
     return np.einsum("...tij,...tji->...t", rho, rho).real
 
 
-def evolve_qubit(run: QubitRun) -> PurityCurve:
-    """Realization-averaged density matrix and its purity on a fixed grid."""
+def evolve_qubit(run: QubitRun, progress=None) -> PurityCurve:
+    """Realization-averaged density matrix and its purity on a fixed grid.
+
+    `progress`, if given, is called as progress(substeps, chunks_done,
+    chunks) after each realization chunk of each pass.
+    """
     n_out = int(np.floor(run.t_max / run.dt_out + 1e-9)) + 1
     times = np.arange(n_out) * run.dt_out
     signals = [sample_signal(run.spectrum,
@@ -158,7 +167,7 @@ def evolve_qubit(run: QubitRun) -> PurityCurve:
 
     n = 2
     while True:
-        rho, rho_coarse = _propagate(run, *modes, n_out, n)
+        rho, rho_coarse = _propagate(run, *modes, n_out, n, progress)
         fine, coarse = _purity(rho), _purity(rho_coarse)
         estimate = float(np.abs(fine - coarse).max()) / 15.0
         if estimate <= run.rtol:

@@ -191,6 +191,21 @@ class TestQubitVerb:
         assert sidecar["wall_s"] >= 0
         assert sidecar["coherence_time"] > 0
 
+    def test_progress_lines_leave_the_table_unchanged(self, tmp_path,
+                                                      capsys):
+        repo = Path(__file__).resolve().parents[1]
+        assert cli.main(["qubit", "--config",
+                         str(repo / "configs" / "qubit_hz0.json"),
+                         "--output-dir", str(tmp_path)]) == 0
+        lines = [line.split(" (")[0].strip()
+                 for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  substeps")]
+        # 1000 realizations of 1000 modes run in 16 chunks of 65 or fewer;
+        # h_z = 0 is accepted at the first substep count
+        assert lines == [f"substeps 2: chunk {k}/16" for k in range(1, 17)]
+        assert (tmp_path / "purity_hz0.tsv").read_bytes() \
+            == (repo / "results" / "purity_hz0.tsv").read_bytes()
+
     def test_horizon_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {
             "output_dir": str(tmp_path),

@@ -121,28 +121,38 @@ class TestRunPoint:
 
     def test_order_independence_of_aggregation(self):
         plan = noisy_plan()
-        row = run_point(4, 1.0, plan)
+        health = {}
+        row = run_point(4, 1.0, plan, health=health)
         energies = np.empty(plan.n_realizations)
         order = np.random.default_rng(0).permutation(plan.n_realizations)
         for r in order:  # shuffled execution, indexed storage
-            energies[r] = ensemble._one_realization(plan, 4, 1.0, int(r))
+            energies[r], = ensemble._realizations(
+                plan, 4, 1.0, range(r, r + 1), health["steps"])
         mean, err, nb = bin_stats(energies, plan.n_bins)
         assert mean == row.delta_e_mean
         assert err == row.delta_e_stderr
 
 
-class TestEngine:
-    ALLSITES = dict(sizes=(32,), velocities=(0.01,), n_realizations=100,
-                    spectrum=NoiseSpectrum(n_modes=100),
-                    master_seed=20260810, rtol=1e-6, atol=1e-9)
+ALLSITES = SweepPlan(sizes=(32,), velocities=(0.01,), n_realizations=100,
+                     spectrum=NoiseSpectrum(n_modes=100),
+                     master_seed=20260810, rtol=1e-6, atol=1e-9)
 
+
+@pytest.fixture(scope="module")
+def allsites_steps():
+    return ensemble._pilot(ALLSITES, 32, 0.01).steps
+
+
+class TestEngine:
     @pytest.mark.parametrize("r, expected", [(0, 3.1743892444),
                                              (1, 3.2012727500),
                                              (2, 3.1649918978)])
-    def test_allsites_realizations_match_tight_reference(self, r, expected):
+    def test_allsites_realizations_match_tight_reference(self, r, expected,
+                                                         allsites_steps):
         # DOP853 at rtol=1e-11, atol=1e-13; the engine at the sweep's
         # tolerance errs by ~4e-6, about its own Richardson estimate
-        de = ensemble._one_realization(SweepPlan(**self.ALLSITES), 32, 0.01, r)
+        de, = ensemble._realizations(ALLSITES, 32, 0.01, range(r, r + 1),
+                                     allsites_steps)
         assert de == pytest.approx(expected, abs=2e-5)
 
     def test_pilot_is_realization_zero(self):
@@ -155,7 +165,8 @@ class TestEngine:
         assert 0 < health["error_ratio"] <= 1.0
         assert health["orthogonality_defect"] <= 1e-12
         assert health["richardson_delta_e"] >= 0.0
-        energies = [ensemble._one_realization(plan, 4, 1.0, r, steps)
+        energies = [ensemble._realizations(plan, 4, 1.0, range(r, r + 1),
+                                           steps)[0]
                     for r in range(plan.n_realizations)]
         assert row.delta_e_mean == bin_stats(np.array(energies),
                                              plan.n_bins)[0]
@@ -234,9 +245,18 @@ class TestRunSweep:
         run_sweep(plan, out_path=p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_worker_pool_matches_serial(self):
-        plan = noisy_plan()
+    def test_worker_pool_matches_serial(self, monkeypatch):
+        # 100 realizations after the pilot, in one chunk, then in chunks
+        # of 8 with a last one of 4, serial and pooled
+        plan = noisy_plan(n_realizations=101)
+        whole = run_point(4, 1.0, plan, workers=1)
+        monkeypatch.setattr(ensemble, "_CHUNK_ELEMENTS", 8 * 4 * 16)
+        assert ensemble._chunk_size(4, 16) == 8
         serial = run_point(4, 1.0, plan, workers=1)
         pooled = run_point(4, 1.0, plan, workers=2)
-        assert pooled.delta_e_mean == serial.delta_e_mean
-        assert pooled.delta_e_stderr == serial.delta_e_stderr
+        assert whole == serial == pooled
+
+    def test_chunk_budget(self):
+        # 100 modes, as in the sweep configs: batching pays below L=128
+        assert [ensemble._chunk_size(L, 100) for L in (32, 64, 128, 256)] \
+            == [4, 2, 1, 1]

@@ -251,6 +251,72 @@ class TestMajoranaEngine:
         assert vacuum_residual_energy(S) == pytest.approx(expected, abs=5e-5)
 
 
+def batch_chains(noise, count, L=6, n_modes=32):
+    """`count` chains of one noise kind, as the sweep builds a chunk."""
+    spec = NoiseSpectrum(n_modes=n_modes)
+    sites = {"all": range(L), "single": [2], "none": []}[noise]
+    chains = []
+    for r in range(count):
+        signals = [None] * L
+        for site in sites:
+            signals[site] = sample_signal(spec, (11, r, site))
+        chains.append(ChainSpec(size=L, coupling=0.05 if sites else 0.0,
+                                signals=tuple(signals) if sites else None))
+    return chains
+
+
+class TestBatchedPropagator:
+    @pytest.mark.parametrize("noise", ["all", "single", "none"])
+    def test_batch_equals_each_chain_alone(self, noise):
+        chains = batch_chains(noise, 7)
+        # a chunk of 4 and a smaller last chunk of 3
+        for chunk in (chains[:4], chains[4:]):
+            batch = propagator(chunk, 8.0, 70)
+            assert batch.shape == (len(chunk), 12, 12)
+            for b, chain in enumerate(chunk):
+                assert np.array_equal(batch[b], propagator(chain, 8.0, 70))
+
+    def test_batch_orthogonal(self):
+        for S in propagator(batch_chains("all", 5, L=12), 100.0, 400):
+            assert orthogonality_defect(S) <= 1e-12
+
+    @pytest.mark.parametrize("steps", [0, -2, 2.5, True, "4"])
+    def test_step_count_must_be_a_positive_int(self, steps):
+        with pytest.raises(ParameterError):
+            propagator(ChainSpec(size=4), 1.0, steps)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, float("nan"), float("inf")])
+    def test_anneal_time_must_be_positive(self, T):
+        with pytest.raises(ParameterError):
+            propagator(ChainSpec(size=4), T, 4)
+        with pytest.raises(ParameterError):
+            propagate(ChainSpec(size=4), T)
+
+    def test_numpy_step_count_accepted(self):
+        chain = ChainSpec(size=4)
+        assert np.array_equal(propagator(chain, 1.0, np.int64(4)),
+                              propagator(chain, 1.0, 4))
+
+    @pytest.mark.parametrize("other", [
+        ChainSpec(size=7),
+        ChainSpec(size=6, bond_coupling=lambda s: s),
+        ChainSpec(size=6, base_field=lambda s: 1.0 - s),
+        ChainSpec(size=6, coupling=0.01),
+    ], ids=["size", "bond_schedule", "field_schedule", "coupling"])
+    def test_batch_must_share_chain_parameters(self, other):
+        with pytest.raises(ParameterError):
+            propagator([ChainSpec(size=6), other], 1.0, 4)
+
+    def test_batch_must_share_n_modes(self):
+        chains = batch_chains("all", 1) + batch_chains("all", 1, n_modes=16)
+        with pytest.raises(ParameterError):
+            propagator(chains, 1.0, 4)
+
+    def test_empty_batch(self):
+        with pytest.raises(ParameterError):
+            propagator([], 1.0, 4)
+
+
 class TestObservables:
     def test_vacuum_residual_energy_is_bond_count(self):
         L = 9
