@@ -17,14 +17,13 @@
 #   qubit_hz0, qubit_hz0_twin  ~2 s each
 #   qubit_hz01                 ~3 min
 #   qubit_hz02                 ~10 min (the qubit stage's wall time)
-#   sweep_allsites             ~1.0 core-hours for all 39 points
+#   sweep_allsites             ~0.8 core-hours for all 39 points
 #                              (projected; the 25 committed DOP853 rows
 #                              belong to another plan digest, so the
 #                              table is rebuilt whole)
-#   sweep_single               ~1.5 core-hours (projected)
-# The L=128 points are ~70% of the sweep cost and run one realization per
-# propagator call, so chunking realizations leaves them unchanged; it
-# speeds up L=32 (both sweeps) and single-site L=64.
+#   sweep_single               ~1.25 core-hours (projected)
+# The L=128 points are 75-80% of the sweep cost; they run one realization
+# per propagator call and are bound by its layer multiplies.
 # The sweep tables gain one row per finished grid point and resume from
 # partial output if interrupted; the qubit tables are written at the end
 # of their run.

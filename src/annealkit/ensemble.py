@@ -16,9 +16,12 @@ the chunk size depends on the chain size and mode count alone
 (_CHUNK_ELEMENTS), and a worker pool maps whole chunks.  A realization
 starts from the s = 0 ground state, the vacuum (J(0) = 0), and its
 residual energy is read off its own slice of the batch by elementwise
-sums: no BLAS call, and a batched propagator equals the single one bit
-for bit, so the table bytes depend on neither the worker count, the
-BLAS thread count nor the chunking.
+sums.  The one BLAS call of a realization is the propagator's noise
+contraction, one matrix product of fixed shape per noisy site, whose
+bytes depend neither on the BLAS thread count nor on the other
+realizations of the chunk (see `fermion`).  A batched propagator so
+equals the single one bit for bit, and the table bytes depend on
+neither the worker count, the BLAS thread count nor the chunking.
 """
 
 from __future__ import annotations

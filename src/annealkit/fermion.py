@@ -47,7 +47,23 @@ backwards), with the schedule part from 3-point Gauss-Legendre and the
 noise part exact, from the mode phasors of noise.PhasorMoments.  A b_k
 layer turns every bond by 2 b_k h J(t/T) at the time the field layers
 have reached.  The last field layer of a step and the first of the next
-merge into one.  R is stored transposed with its Majorana columns
+merge into one.
+
+The angles are computed for blocks of _BLOCK steps at a time.  For each
+block, PhasorMoments fills a (steps, rows, modes) table of unweighted
+mode phasors, one complex multiply per entry, and one matmul per noisy
+row contracts the table's real view with a (2 modes, 7) weight matrix
+built once per call: all 7 sub-interval noise angles of every step of
+the block at once.  That product is the engine's only BLAS call.  Its
+bytes do not depend on the BLAS thread count, because OpenBLAS splits a
+product over its rows and columns, never over the inner sum, and they
+do not depend on the other rows of a batch, because each row is its own
+product of a fixed shape.  They do depend on the block size through the
+kernels the library picks for it, so _BLOCK is a constant and part of
+ENGINE.  The schedule angles, the merge of the last layer into the next
+step and the field turns cos - i sin are also computed once per block.
+
+R is stored transposed with its Majorana columns
 interleaved (a_1, b_1, a_2, ...), so both layer kinds are one complex
 multiply over a view: pairs (a_i, b_i) are the complex columns of the
 array, pairs (b_i, a_{i+1}) those of the array shifted by one column.
@@ -79,8 +95,6 @@ import numpy as np
 from .errors import IntegrationAbort, ParameterError
 from .noise import PhasorMoments, interval_weights
 
-ENGINE = "majorana-s6"
-
 # Blanes & Moan S6, J. Comput. Appl. Math. 142, 313 (2002): field (alpha,
 # time-advancing) and bond (beta) coefficients of a fourth-order splitting
 _A1, _A2, _A3 = 0.0792036964311957, 0.353172906049774, -0.0420650803577195
@@ -94,7 +108,12 @@ _GL_NODES = np.array([-math.sqrt(0.15), 0.0, math.sqrt(0.15)])
 _GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 _FIRST_STEP = 0.5
 _MAX_STEPS = 1 << 24
-_BLOCK = 4096       # steps whose schedule angles are held at once
+# steps whose angles and turns are computed at once: one matrix product
+# per block gives the noise angles.  A divisor of noise.REANCHOR, so the
+# exact phasor evaluations fall on block starts; and a constant, because
+# the product's rounding depends on it
+_BLOCK = 8
+ENGINE = f"majorana-s6-block{_BLOCK}"
 _TINY = np.finfo(float).tiny
 
 
@@ -256,13 +275,14 @@ def _on_grid(schedule: Callable, s: np.ndarray) -> np.ndarray:
 
 
 def _noise_kernel(chains, h: float):
-    """(rows, PhasorMoments) for the noisy sites of a batch, or None.
+    """(rows, PhasorMoments, weights) for the noisy sites of a batch, or None.
 
     `rows` indexes the batch's sites flattened as b * L + i, or is a full
-    slice when every site is noisy.  The kernel's moments have shape
-    (7, rows, modes); their real parts summed over modes are the noise
-    parts 2 lambda int eta of the field angles over the 7 sub-intervals
-    of a step, measured from its start.
+    slice when every site is noisy.  `weights` has shape (rows,
+    2 modes, 7): against the real view of a row's unweighted phasors
+    (re, im per mode) it holds (Re w, -Im w) per mode, so the product is
+    the noise parts 2 lambda int eta of the field angles over the 7
+    sub-intervals of a step, measured from its start.
     """
     coupling, L = chains[0].coupling, chains[0].size
     if coupling == 0.0:
@@ -280,12 +300,27 @@ def _noise_kernel(chains, h: float):
     omega, amp, phase = (np.stack([getattr(sig, name) for sig in sigs])
                          for name in ("omega", "amp", "phase"))
     scale = 2.0 * coupling / np.sqrt(omega.shape[1])
-    weights = np.empty((len(_ALPHA),) + omega.shape, dtype=complex)
-    for out, a, c in zip(weights, _ALPHA, _CENTRES):
-        np.multiply(interval_weights(omega, amp, scale, a * h),
-                    np.exp(1j * (c * h) * omega), out=out)
+    # the alpha coefficients are symmetric: 4 distinct sub-interval lengths
+    lengths = [interval_weights(omega, amp, scale, a * h) for a in _ALPHA[:4]]
+    weights = np.empty(omega.shape + (2, len(_ALPHA)))
+    for k, c in enumerate(_CENTRES):
+        # w = length e^{i c h omega}, the phasor's shift to the centre
+        length, arg = lengths[min(k, 6 - k)], (c * h) * omega
+        weights[..., 0, k] = length * np.cos(arg)
+        weights[..., 1, k] = length * -np.sin(arg)
     rows = slice(None) if len(rows) == len(chains) * L else np.array(rows)
-    return rows, PhasorMoments(omega, phase, weights, h)
+    return (rows, PhasorMoments(omega, phase, h),
+            weights.reshape(len(sigs), -1, len(_ALPHA)))
+
+
+def _noise_angles(kernel: PhasorMoments, weights: np.ndarray,
+                  table: np.ndarray) -> np.ndarray:
+    """Noise parts of the field angles of the next len(table) steps, shape
+    (rows, steps, 7), from one matrix product per row; `table` is a
+    (steps, rows, modes) complex buffer that the phasors are filled into.
+    """
+    phasors = kernel.fill(table).view(float)    # (steps, rows, 2 modes)
+    return np.matmul(phasors.transpose(1, 0, 2), weights)
 
 
 def _schedule_angles(chain: ChainSpec, T: float, h: float, first: int,
@@ -348,26 +383,36 @@ def propagator(chains, T: float, steps: int) -> np.ndarray:
     links = S.reshape(-1)[1:-1].view(complex)
     straddle = slice(L - 1, None, L)
     kept = np.empty(2 * B * L - 1, dtype=complex)
-    # field angles per (layer, propagator, -, site), broadcast over rows
-    angle = np.empty((7, B, 1, L) if noise is not None else (7, 1, 1, 1))
-    noisy = angle.reshape(7, -1)
-    carry = np.zeros(angle.shape[1:])      # last sub-interval, merged on
+    # a block's field angles are (step, layer) + sites: per (propagator,
+    # -, site), broadcast over rows
+    sites = (B, 1, L) if noise is not None else (1, 1, 1)
+    if noise is not None:
+        rows, kernel, weights = noise
+        table = np.empty((_BLOCK,) + kernel.omega.shape, dtype=complex)
+    carry = np.zeros(sites)                 # last sub-interval, merged on
     for first in range(0, steps, _BLOCK):
-        field, bond = _schedule_angles(lead, T, h, first,
-                                       min(first + _BLOCK, steps))
-        for field_k, bond_k in zip(field, bond):
-            angle[:] = field_k[:, None, None, None]
-            if noise is not None:
-                rows, kernel = noise
-                noisy[:, rows] += kernel.next().real.sum(axis=-1)
-            angle[0] += carry
-            carry = angle[6].copy()
-            turn = np.exp(-1j * angle[:6])
-            for turn_j, bond_j in zip(turn, bond_k):
-                pairs *= turn_j
-                kept[:] = links[straddle]
-                links *= bond_j
-                links[straddle] = kept
+        n = min(_BLOCK, steps - first)
+        field, bond = _schedule_angles(lead, T, h, first, first + n)
+        angle = np.empty((n, 7) + sites)
+        angle[:] = field.reshape((n, 7, 1, 1, 1))
+        if noise is not None:
+            noisy = angle.reshape(n, 7, -1)
+            noisy[:, :, rows] += _noise_angles(kernel, weights,
+                                               table[:n]).transpose(1, 2, 0)
+        angle[0, 0] += carry
+        angle[1:, 0] += angle[:-1, 6]
+        carry = angle[-1, 6].copy()
+        # e^{-i angle}, written as cos and sin of -angle
+        np.negative(angle, out=angle)
+        turn = np.empty((n, 6) + sites, dtype=complex)
+        np.cos(angle[:, :6], out=turn.real)
+        np.sin(angle[:, :6], out=turn.imag)
+        for turn_j, bond_j in zip(turn.reshape((6 * n,) + sites),
+                                  bond.reshape(-1)):
+            pairs *= turn_j
+            kept[:] = links[straddle]
+            links *= bond_j
+            links[straddle] = kept
     pairs *= np.exp(-1j * carry)
     return S
 
@@ -390,7 +435,8 @@ def propagate(chain: ChainSpec, T: float, rtol: float = 1e-8,
     max(|R_n|, |R_{n/2}|))) <= n, the sum of the per-step tolerances an
     adaptive Runge-Kutta run promises.  The search starts at h = 1/2 and,
     after a ratio e = RMS / n above 1, continues at the even count
-    ceil(1.1 n e^(1/5)); beyond _MAX_STEPS it raises IntegrationAbort.
+    ceil(1.1 n e^(1/5)).  A count beyond _MAX_STEPS, the first one
+    included, raises IntegrationAbort before it runs.
     """
     if not rtol > 0.0:
         raise ParameterError(f"rtol must be positive, got {rtol}")
@@ -398,8 +444,13 @@ def propagate(chain: ChainSpec, T: float, rtol: float = 1e-8,
         raise ParameterError(f"atol must be non-negative, got {atol}")
     if not 0.0 < T < math.inf:
         raise ParameterError(f"anneal time must be positive and finite, got {T}")
-    n = _even(T / _FIRST_STEP)
+    grown, step, reason = T / _FIRST_STEP, _FIRST_STEP, "the first attempt"
     while True:
+        if not grown <= _MAX_STEPS:         # also when inf or NaN
+            raise IntegrationAbort(
+                f"{reason} asks for {grown:.3g} steps, beyond the cap of "
+                f"{_MAX_STEPS}", t=T, step=step)
+        n = _even(grown)
         fine = propagator(chain, T, n)
         coarse = propagator(chain, T, n // 2)
         allowed = atol + rtol * np.maximum(np.abs(fine), np.abs(coarse))
@@ -408,12 +459,9 @@ def propagate(chain: ChainSpec, T: float, rtol: float = 1e-8,
             ratio = float(np.sqrt(np.mean(scaled * scaled))) / n
         if ratio <= 1.0:
             return Propagation(fine, coarse, n, ratio)
-        grown = 1.1 * n * ratio ** 0.2
-        if not grown <= _MAX_STEPS:         # also when inf or NaN
-            raise IntegrationAbort(
-                f"Richardson error {ratio:.3g} times its allowance at "
-                f"{n} steps", t=T, step=T / n)
-        n = _even(grown)
+        grown, step = 1.1 * n * ratio ** 0.2, T / n
+        reason = (f"a Richardson error {ratio:.3g} times its allowance "
+                  f"at {n} steps")
 
 
 def _even(x: float) -> int:

@@ -23,9 +23,12 @@ over an interval of signed length d centred on t_c,
 
 so with weights computed once per run (`interval_weights`, and
 `first_moment_weights` for the first moment) every integral of a step is
-a real or imaginary part of a weighted mode phasor.  The weighted
-phasors advance by e^{i w h} per step and are recomputed exactly every
-REANCHOR steps, so rounding cannot drift.
+a real or imaginary part of a weighted mode phasor.  The phasors advance
+by e^{i w h} per step and are recomputed exactly every REANCHOR steps, so
+rounding cannot drift.  The qubit weights the phasors of one step at a
+time and sums over modes (`PhasorMoments.next`).  The chain fills a table
+of a block of steps' unweighted phasors (`PhasorMoments.fill`) and
+contracts it with its weights in one matrix product.
 """
 
 from __future__ import annotations
@@ -165,15 +168,23 @@ def first_moment_weights(omega, amp, factor: float, length: float) -> np.ndarray
 
 
 class PhasorMoments:
-    """Weighted mode phasors w e^{i(w (j + offset) h - phi)} for j = 0, 1, ...
+    """Mode phasors e^{i(w (j + offset) h - phi)} for steps j = 0, 1, ...
 
-    `omega` and `phase` have shape (..., modes); `weights` stacks one
-    weight array of that shape per integral wanted, (k, ..., modes).  Each
-    call of `next()` returns the (k, ..., modes) moments of the next step;
-    their real (or imaginary) parts summed over modes are the integrals.
+    `omega` and `phase` have shape (..., modes).  The phasors advance by
+    e^{i w h} per step and are evaluated exactly at every step j with
+    j % REANCHOR == 0.  They are read in one of two ways:
+
+    - `next()` returns the weighted moments of the next step, shape
+      (k, ..., modes), from `weights`, which stacks one weight array per
+      integral wanted; their real (or imaginary) parts summed over modes
+      are the integrals.
+    - `fill(table)` writes the unweighted phasors of the next len(table)
+      steps into `table`, shape (steps, ..., modes), for a caller that
+      contracts them with its weights itself.
     """
 
-    def __init__(self, omega, phase, weights, h: float, offset: float = 0.0):
+    def __init__(self, omega, phase, h: float, weights=None,
+                 offset: float = 0.0):
         self.omega = omega
         self.phase = phase
         self.weights = weights
@@ -181,17 +192,35 @@ class PhasorMoments:
         self.offset = offset
         self.advance = np.exp(1j * h * omega)
         self.phasor = np.empty_like(self.advance)
-        self.moments = np.empty(np.shape(weights), dtype=complex)
+        if weights is not None:
+            self.moments = np.empty(np.shape(weights), dtype=complex)
         self.step = 0
+
+    def _exact(self, j: int, out: np.ndarray) -> np.ndarray:
+        arg = (j + self.offset) * self.h * self.omega - self.phase
+        np.cos(arg, out=out.real)
+        np.sin(arg, out=out.imag)
+        return out
 
     def next(self) -> np.ndarray:
         j = self.step
         self.step += 1
         if j % REANCHOR:
             self.moments *= self.advance
-            return self.moments
-        arg = (j + self.offset) * self.h * self.omega - self.phase
-        np.cos(arg, out=self.phasor.real)
-        np.sin(arg, out=self.phasor.imag)
-        np.multiply(self.phasor, self.weights, out=self.moments)
+        else:
+            np.multiply(self._exact(j, self.phasor), self.weights,
+                        out=self.moments)
         return self.moments
+
+    def fill(self, table: np.ndarray) -> np.ndarray:
+        last = self.phasor      # the phasors of the step before
+        for out in table:
+            j = self.step
+            self.step += 1
+            if j % REANCHOR:
+                np.multiply(last, self.advance, out=out)
+            else:
+                self._exact(j, out)
+            last = out
+        self.phasor[...] = last
+        return table

@@ -119,7 +119,7 @@ def _propagate(run: QubitRun, omega, amp, phase, n_out: int, n: int,
                                                 h))
         # a_x and a_y are the real and imaginary parts of the moments summed
         # over modes; substep j is centred on (j + 1/2) h
-        kernel = PhasorMoments(om, ph, np.stack(weights), h, offset=0.5)
+        kernel = PhasorMoments(om, ph, h, np.stack(weights), offset=0.5)
         # psi over (fine/coarse, time, component, realization)
         psi = np.zeros((2, n_out, 2, om.shape[0]), dtype=complex)
         psi[:, 0, 0] = 1.0

@@ -6,10 +6,16 @@ c_i = (prod_{j<i} sigma^x_j) (sigma^z - i sigma^y)_i / 2.
 """
 
 import gc
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from annealkit import ed, fermion
 from annealkit.errors import IntegrationAbort, ParameterError
@@ -209,11 +215,40 @@ class TestMajoranaEngine:
             assert orthogonality_defect(propagator(chain, 100.0, steps)) \
                 <= 1e-12
 
-    def test_schedule_blocks_leave_the_result_unchanged(self, monkeypatch):
-        chain = noisy_chain(6, seed=3, coupling=0.1)
-        whole = propagator(chain, 5.0, 10)
-        monkeypatch.setattr(fermion, "_BLOCK", 3)
-        assert np.array_equal(propagator(chain, 5.0, 10), whole)
+    def test_blocked_noise_angles_are_exact(self):
+        # steps on both sides of block (8) and re-anchor (64) boundaries
+        chain = noisy_chain(3, seed=3, coupling=0.1, n_modes=40)
+        h = 0.3
+        rows, kernel, weights = fermion._noise_kernel([chain], h)
+        table = np.empty((fermion._BLOCK,) + kernel.omega.shape,
+                         dtype=complex)
+        angles = np.concatenate(
+            [fermion._noise_angles(kernel, weights, table)
+             for _ in range(0, 136, fermion._BLOCK)], axis=1)
+        edges = fermion._EDGES * h
+        for j in (7, 8, 63, 64, 65, 128):
+            for i, sig in enumerate(chain.signals):
+                for k in range(7):
+                    want, _ = quad(sig.eval, j * h + edges[k],
+                                   j * h + edges[k + 1], epsabs=1e-14,
+                                   epsrel=1e-13)
+                    assert angles[i, j, k] == pytest.approx(
+                        2.0 * chain.coupling * want, abs=1e-12), (j, i, k)
+
+    def test_memory_does_not_grow_with_step_count(self):
+        chain = noisy_chain(8, seed=6, coupling=0.05, n_modes=16)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                propagator(chain, 100.0, steps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 10,000 steps of per-step angles alone would take 560 kB
+        short, long = peak(1_000), peak(10_000)
+        assert long <= short + 16_384, (short, long)
 
     def test_vacuum_energy_matches_mode_route(self):
         chain = noisy_chain(10, seed=4, coupling=0.05)
@@ -235,6 +270,19 @@ class TestMajoranaEngine:
     def test_step_cap_aborts(self):
         with pytest.raises(IntegrationAbort):
             propagate(ChainSpec(size=4), 1.0, rtol=1e-300, atol=0.0)
+
+    def test_step_cap_holds_for_the_first_attempt(self, monkeypatch):
+        monkeypatch.setattr(fermion, "_MAX_STEPS", 4)
+        assert propagate(ChainSpec(size=4), 2.0, rtol=1e-2,
+                         atol=1e-2).steps == 4
+        calls = []
+        monkeypatch.setattr(fermion, "propagator",
+                            lambda *args: calls.append(args))
+        with pytest.raises(IntegrationAbort):
+            propagate(ChainSpec(size=4), 10.0, rtol=1e-2, atol=1e-2)
+        with pytest.raises(IntegrationAbort):     # T / h overflows to inf
+            propagate(ChainSpec(size=4), 1e308)
+        assert calls == []
 
     def test_accepted_ratio_and_step_count(self):
         prop = propagate(noisy_chain(6, seed=1), 10.0, rtol=1e-8, atol=1e-10)
@@ -315,6 +363,34 @@ class TestBatchedPropagator:
     def test_empty_batch(self):
         with pytest.raises(ParameterError):
             propagator([], 1.0, 4)
+
+
+def test_propagator_bytes_independent_of_blas_threads():
+    """The noise angles come from one matrix product per noisy row.  Its
+    bytes must not depend on the BLAS thread count at the sweeps' 100
+    modes, at 1,000, or at 5,000, where a block's product of 8 x 10,000 by
+    10,000 x 7 exceeds OpenBLAS's default threshold for threading."""
+    src = os.path.dirname(os.path.dirname(fermion.__file__))
+    code = textwrap.dedent("""
+        import hashlib
+        from annealkit.fermion import ChainSpec, propagator
+        from annealkit.noise import NoiseSpectrum, sample_signal
+        for n_modes in (100, 1000, 5000):
+            spec = NoiseSpectrum(coupling=0.05, n_modes=n_modes)
+            chains = [ChainSpec(size=6, coupling=0.05, signals=tuple(
+                sample_signal(spec, (5, r, site)) for site in range(6)))
+                for r in range(3)]
+            S = propagator(chains, 20.0, 100)
+            print(n_modes, hashlib.sha256(S.tobytes()).hexdigest())
+        """)
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        outputs.add(subprocess.run([sys.executable, "-c", code], env=env,
+                                   check=True, capture_output=True,
+                                   text=True).stdout)
+    assert len(outputs) == 1
 
 
 class TestObservables:

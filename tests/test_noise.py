@@ -198,7 +198,7 @@ class TestPhasorMoments:
         weights = np.stack([interval_weights(omega, amp, scale, d)
                             * np.exp(1j * c * omega)
                             for d, c in zip(lengths, centres)])
-        kernel = PhasorMoments(omega, phase, weights, h)
+        kernel = PhasorMoments(omega, phase, h, weights)
         for j in range(2 * REANCHOR + 20):
             got = kernel.next().real.sum(axis=-1)[:, 0]
             for d, c, value in zip(lengths, centres, got):
@@ -212,7 +212,7 @@ class TestPhasorMoments:
         omega, amp, phase = self.modes()
         scale = 1.0 / np.sqrt(self.SIGNAL.n_modes)
         weights = first_moment_weights(omega, amp, scale * h * h / 2, h)[None]
-        kernel = PhasorMoments(omega, phase, weights, h, offset=0.5)
+        kernel = PhasorMoments(omega, phase, h, weights, offset=0.5)
         for j in range(REANCHOR + 3):
             got = -kernel.next().imag.sum()
             t_c = (j + 0.5) * h
