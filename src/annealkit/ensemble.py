@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -278,8 +279,9 @@ def run_sweep(plan: SweepPlan, out_path=None, workers: int = 1,
 
     Failed points are recorded as NaN rows and the sweep continues.
     Velocities run highest-first so cheap points land early.  Each
-    computed point appends {"L", "v", **run_point health} to `health`
-    before `progress` sees its row.
+    computed point appends {"L", "v", **run_point health, "wall_s"} to
+    `health` before `progress` sees its row; wall_s is the point's wall
+    time in seconds, rounded to ms.
     """
     done = _load_completed(out_path, plan)
     table_meta = _table_meta(plan, meta)
@@ -294,12 +296,14 @@ def run_sweep(plan: SweepPlan, out_path=None, workers: int = 1,
                 rows.append(row)
                 continue
             point = {"L": L, "v": v}
+            start = time.perf_counter()
             try:
                 row = run_point(L, v, plan, workers=workers, health=point)
             except IntegrationAbort as exc:
                 failures.append((L, v, str(exc)))
                 row = PointRow(L, v, float("nan"), float("nan"),
                                0, 0)
+            point["wall_s"] = round(time.perf_counter() - start, 3)
             rows.append(row)
             if health is not None:
                 health.append(point)

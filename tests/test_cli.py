@@ -451,6 +451,7 @@ class TestSweepEngineProvenance:
             assert 0 <= point["richardson_delta_e"] < 1e-6
             assert 0 < point["error_ratio"] <= 1.0
             assert point["orthogonality_defect"] <= 1e-12
+            assert point["wall_s"] > 0
         table = read_table(tmp_path / "t.tsv")
         assert set(table.meta) == {"schema", "generated_by", "plan_digest",
                                    "config_digest"}
@@ -459,7 +460,10 @@ class TestSweepEngineProvenance:
         (tmp_path / "t.tsv").write_text("\n".join(lines[:-1]) + "\n")
         assert cli.main(["simulate", "--config", cfg]) == 0
         again = json.loads((tmp_path / "t.tsv.meta.json").read_text())
-        assert again["points"] == points
+        assert again["points"][:-1] == points[:-1]
+        last, redone = points[-1], again["points"][-1]
+        assert {k: v for k, v in redone.items() if k != "wall_s"} == \
+            {k: v for k, v in last.items() if k != "wall_s"}
 
     def test_table_bytes_independent_of_workers_and_blas_threads(
             self, tmp_path):

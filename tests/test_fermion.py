@@ -250,6 +250,27 @@ class TestMajoranaEngine:
         short, long = peak(1_000), peak(10_000)
         assert long <= short + 16_384, (short, long)
 
+    def test_propagator_holds_no_subnormals(self):
+        # far outside the Lieb-Robinson cone of a short anneal the entries
+        # fall into the subnormal range unless they are flushed
+        for L in (256, 128):
+            magnitude = np.abs(propagator(ChainSpec(size=L), 10.0, 42))
+            subnormal = (magnitude > 0) & (magnitude < np.finfo(float).tiny)
+            assert not subnormal.any(), (L, int(subnormal.sum()))
+
+    @pytest.mark.parametrize("chains, T, steps", [
+        ([ChainSpec(size=256)], 10.0, 42),
+        ([noisy_chain(32, seed=r, n_modes=100) for r in range(4)], 100.0,
+         224)], ids=["noise-free-L256", "allsites-L32-chunk4"])
+    def test_flush_leaves_results_unchanged(self, monkeypatch, chains, T,
+                                            steps):
+        flushed = propagator(chains, T, steps)
+        monkeypatch.setattr(fermion, "_FLUSH", 0.0)     # flushes nothing
+        kept = propagator(chains, T, steps)
+        assert [vacuum_residual_energy(S) for S in flushed] == \
+            [vacuum_residual_energy(S) for S in kept]
+        assert np.abs(flushed - kept).max() <= 1e-40
+
     def test_vacuum_energy_matches_mode_route(self):
         chain = noisy_chain(10, seed=4, coupling=0.05)
         modes = ground_state(*bdg_matrices(chain, 0.0, 0.0))
