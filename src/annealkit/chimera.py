@@ -634,4 +634,6 @@ def read_samples(path) -> SampleSet:
     sidecar = str(path) + ".meta.json"
     if os.path.exists(sidecar):
         metadata = read_document(sidecar)
+        if "annealing_time" in metadata:
+            require_fields(metadata, {"annealing_time": float}, sidecar)
     return SampleSet(values=values, metadata=metadata)

@@ -296,6 +296,16 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
+def _header_value(table, key: str, kind, path: str):
+    """A table's `# key: value` header as `kind`; SchemaError if missing
+    or malformed."""
+    try:
+        return kind(table.meta[key])
+    except (KeyError, ValueError):
+        raise SchemaError(f"{path}: header {key!r} is missing or not "
+                          f"{kind.__name__}") from None
+
+
 def cmd_aggregate(args) -> int:
     from .chimera import (DEVICE_CURVE_COLUMNS, DEVICE_CURVE_SCHEMA,
                           DECODED_SCHEMA, TileStats, aggregate_tiles)
@@ -305,8 +315,8 @@ def cmd_aggregate(args) -> int:
     table = read_table(sec["input"])
     if table.meta.get("schema") != DECODED_SCHEMA:
         raise SchemaError(f"{sec['input']} is not a {DECODED_SCHEMA} table")
-    L = int(float(table.meta["tile_side"]))
-    anneal_time = float(table.meta["annealing_time"])
+    L = _header_value(table, "tile_side", int, sec["input"])
+    anneal_time = _header_value(table, "annealing_time", float, sec["input"])
     v = 1.0 / anneal_time if anneal_time > 0 else float("nan")
     decoded = [TileStats(int(r[0]), int(r[1]), r[2], r[3], r[4], r[5],
                          int(r[6]), bool(r[7])) for r in table.rows()]

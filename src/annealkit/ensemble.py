@@ -19,7 +19,7 @@ residual energy is read off its own slice of the batch by elementwise
 sums.  The one BLAS call of a realization is the propagator's noise
 contraction, one matrix product of fixed shape per noisy site, whose
 bytes depend neither on the BLAS thread count nor on the other
-realizations of the chunk (see `fermion`).  A batched propagator so
+realizations of the chunk (see `noise`).  A batched propagator so
 equals the single one bit for bit, and the table bytes depend on
 neither the worker count, the BLAS thread count nor the chunking.
 """

@@ -49,19 +49,14 @@ layer turns every bond by 2 b_k h J(t/T) at the time the field layers
 have reached.  The last field layer of a step and the first of the next
 merge into one.
 
-The angles are computed for blocks of _BLOCK steps at a time.  For each
-block, PhasorMoments fills a (steps, rows, modes) table of unweighted
-mode phasors, one complex multiply per entry, and one matmul per noisy
-row contracts the table's real view with a (2 modes, 7) weight matrix
-built once per call: all 7 sub-interval noise angles of every step of
-the block at once.  That product is the engine's only BLAS call.  Its
-bytes do not depend on the BLAS thread count, because OpenBLAS splits a
-product over its rows and columns, never over the inner sum, and they
-do not depend on the other rows of a batch, because each row is its own
-product of a fixed shape.  They do depend on the block size through the
-kernels the library picks for it, so _BLOCK is a constant and part of
-ENGINE.  The schedule angles, the merge of the last layer into the next
-step and the field turns cos - i sin are also computed once per block.
+The angles are computed for blocks of noise.BLOCK steps at a time.  For
+each block, one PhasorMoments read gives the 7 sub-interval noise angles
+of every noisy row and step of the block, with the centre shifts folded
+into its weights.  That is the engine's only BLAS call; noise.py states
+why its bytes do not depend on the thread count, and since they depend
+on the block size, ENGINE names it.  The schedule angles, the merge of
+the last layer into the next step and the field turns cos - i sin are
+also computed once per block.
 
 R is stored transposed with its Majorana columns
 interleaved (a_1, b_1, a_2, ...), so both layer kinds are one complex
@@ -106,7 +101,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import IntegrationAbort, ParameterError
-from .noise import PhasorMoments, interval_weights
+from .noise import BLOCK, PhasorMoments, interval_weights
 
 # Blanes & Moan S6, J. Comput. Appl. Math. 142, 313 (2002): field (alpha,
 # time-advancing) and bond (beta) coefficients of a fourth-order splitting
@@ -121,12 +116,7 @@ _GL_NODES = np.array([-math.sqrt(0.15), 0.0, math.sqrt(0.15)])
 _GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 _FIRST_STEP = 0.5
 _MAX_STEPS = 1 << 24
-# steps whose angles and turns are computed at once: one matrix product
-# per block gives the noise angles.  A divisor of noise.REANCHOR, so the
-# exact phasor evaluations fall on block starts; and a constant, because
-# the product's rounding depends on it
-_BLOCK = 8
-ENGINE = f"majorana-s6-block{_BLOCK}"
+ENGINE = f"majorana-s6-block{BLOCK}"
 # entries of R below this are set to 0 after each block: far below any
 # result's rounding, and it keeps the layer multiplies out of subnormals
 _FLUSH = 1e-50
@@ -291,14 +281,12 @@ def _on_grid(schedule: Callable, s: np.ndarray) -> np.ndarray:
 
 
 def _noise_kernel(chains, h: float):
-    """(rows, PhasorMoments, weights) for the noisy sites of a batch, or None.
+    """(rows, PhasorMoments) for the noisy sites of a batch, or None.
 
     `rows` indexes the batch's sites flattened as b * L + i, or is a full
-    slice when every site is noisy.  `weights` has shape (rows,
-    2 modes, 7): against the real view of a row's unweighted phasors
-    (re, im per mode) it holds (Re w, -Im w) per mode, so the product is
+    slice when every site is noisy.  The kernel's 7 integrals per step are
     the noise parts 2 lambda int eta of the field angles over the 7
-    sub-intervals of a step, measured from its start.
+    sub-intervals of the step, measured from its start.
     """
     coupling, L = chains[0].coupling, chains[0].size
     if coupling == 0.0:
@@ -318,25 +306,14 @@ def _noise_kernel(chains, h: float):
     scale = 2.0 * coupling / np.sqrt(omega.shape[1])
     # the alpha coefficients are symmetric: 4 distinct sub-interval lengths
     lengths = [interval_weights(omega, amp, scale, a * h) for a in _ALPHA[:4]]
-    weights = np.empty(omega.shape + (2, len(_ALPHA)))
+    weights = []
     for k, c in enumerate(_CENTRES):
-        # w = length e^{i c h omega}, the phasor's shift to the centre
-        length, arg = lengths[min(k, 6 - k)], (c * h) * omega
-        weights[..., 0, k] = length * np.cos(arg)
-        weights[..., 1, k] = length * -np.sin(arg)
+        # the phasor's shift from the step's start to the centre
+        arg = (c * h) * omega
+        weights.append(lengths[min(k, 6 - k)]
+                       * (np.cos(arg) + 1j * np.sin(arg)))
     rows = slice(None) if len(rows) == len(chains) * L else np.array(rows)
-    return (rows, PhasorMoments(omega, phase, h),
-            weights.reshape(len(sigs), -1, len(_ALPHA)))
-
-
-def _noise_angles(kernel: PhasorMoments, weights: np.ndarray,
-                  table: np.ndarray) -> np.ndarray:
-    """Noise parts of the field angles of the next len(table) steps, shape
-    (rows, steps, 7), from one matrix product per row; `table` is a
-    (steps, rows, modes) complex buffer that the phasors are filled into.
-    """
-    phasors = kernel.fill(table).view(float)    # (steps, rows, 2 modes)
-    return np.matmul(phasors.transpose(1, 0, 2), weights)
+    return rows, PhasorMoments(omega, phase, h, weights)
 
 
 def _schedule_angles(chain: ChainSpec, T: float, h: float, first: int,
@@ -404,18 +381,16 @@ def propagator(chains, T: float, steps: int) -> np.ndarray:
     # -, site), broadcast over rows
     sites = (B, 1, L) if noise is not None else (1, 1, 1)
     if noise is not None:
-        rows, kernel, weights = noise
-        table = np.empty((_BLOCK,) + kernel.omega.shape, dtype=complex)
+        rows, kernel = noise
     carry = np.zeros(sites)                 # last sub-interval, merged on
-    for first in range(0, steps, _BLOCK):
-        n = min(_BLOCK, steps - first)
+    for first in range(0, steps, BLOCK):
+        n = min(BLOCK, steps - first)
         field, bond = _schedule_angles(lead, T, h, first, first + n)
         angle = np.empty((n, 7) + sites)
         angle[:] = field.reshape((n, 7, 1, 1, 1))
         if noise is not None:
             noisy = angle.reshape(n, 7, -1)
-            noisy[:, :, rows] += _noise_angles(kernel, weights,
-                                               table[:n]).transpose(1, 2, 0)
+            noisy[:, :, rows] += kernel.integrals(n).transpose(1, 2, 0)
         angle[0, 0] += carry
         angle[1:, 0] += angle[:-1, 6]
         carry = angle[-1, 6].copy()

@@ -21,14 +21,23 @@ over an interval of signed length d centred on t_c,
 
     int amp cos(w t - phi) dt = Re[ amp d sinc(w d/2) e^{i(w t_c - phi)} ],
 
-so with weights computed once per run (`interval_weights`, and
-`first_moment_weights` for the first moment) every integral of a step is
-a real or imaginary part of a weighted mode phasor.  The phasors advance
-by e^{i w h} per step and are recomputed exactly every REANCHOR steps, so
-rounding cannot drift.  The qubit weights the phasors of one step at a
-time and sums over modes (`PhasorMoments.next`).  The chain fills a table
-of a block of steps' unweighted phasors (`PhasorMoments.fill`) and
-contracts it with its weights in one matrix product.
+so with complex weights computed once per run (`interval_weights`, and
+`first_moment_weights` for the first moment, times the shift e^{i w c}
+from a step's start to the centre c) every integral of step j is
+Re sum_modes w e^{i(w j h - phi)}.  The phasors advance by e^{i w h} per
+step and are recomputed exactly every REANCHOR steps, so rounding cannot
+drift.  `PhasorMoments.integrals` writes the phasors of up to BLOCK steps
+into a table, one complex multiply per entry, and contracts the table's
+real view with the real weight matrix [Re w; -Im w] in one matrix
+product per row.
+
+That product is the engines' only BLAS call.  Its bytes do not depend on
+the BLAS thread count, because OpenBLAS splits a product over its rows
+and columns, never over the inner sum over modes, and they do not depend
+on the other rows, because each row is its own product of a fixed shape.
+They do depend on the number of steps read at once, through the kernels
+the library picks for the shape, so BLOCK is a constant and the engines
+read fixed step counts.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from .errors import ParameterError
 from .seeds import stream
 
 REANCHOR = 64       # steps between exact evaluations of the phasors
+BLOCK = 8           # most steps per read; divides REANCHOR
 
 
 @dataclass(frozen=True)
@@ -77,7 +87,6 @@ class NoiseSignal:
     x: np.ndarray
     p: np.ndarray
     spectrum: NoiseSpectrum
-    seed_key: tuple = ()
     # derived amplitude/phase form: x cos(wt) + p sin(wt) = amp cos(wt - phase)
     amp: np.ndarray = field(init=False, repr=False)
     phase: np.ndarray = field(init=False, repr=False)
@@ -111,12 +120,7 @@ def sample_signal(spec: NoiseSpectrum, seed) -> NoiseSignal:
     `seed` is either an int or a tuple (master_seed, *key) naming a
     derived stream.
     """
-    if isinstance(seed, tuple):
-        rng = stream(*seed)
-        key = seed
-    else:
-        rng = stream(int(seed))
-        key = (int(seed),)
+    rng = stream(*seed) if isinstance(seed, tuple) else stream(int(seed))
     n = spec.n_modes
     omega = rng.gamma(shape=1.0 - spec.p, scale=spec.omega0, size=n)
     # gamma sampling with shape < 1 is exact (rejection-based, no tail cut);
@@ -126,7 +130,7 @@ def sample_signal(spec: NoiseSpectrum, seed) -> NoiseSignal:
         omega[bad] = rng.gamma(shape=1.0 - spec.p, scale=spec.omega0, size=int(bad.sum()))
     x = rng.standard_normal(n)
     p = rng.standard_normal(n)
-    return NoiseSignal(omega=omega, x=x, p=p, spectrum=spec, seed_key=key)
+    return NoiseSignal(omega=omega, x=x, p=p, spectrum=spec)
 
 
 def autocorrelation_exact(spec: NoiseSpectrum, tau: float) -> float:
@@ -168,59 +172,46 @@ def first_moment_weights(omega, amp, factor: float, length: float) -> np.ndarray
 
 
 class PhasorMoments:
-    """Mode phasors e^{i(w (j + offset) h - phi)} for steps j = 0, 1, ...
+    """Exact noise integrals of steps j = 0, 1, ... of length h.
 
-    `omega` and `phase` have shape (..., modes).  The phasors advance by
+    `omega` and `phase` have shape (rows, modes); `weights` is a sequence
+    of k complex arrays of that shape.  Integral k of step j is
+    Re sum_modes weights[k] e^{i(w j h - phi)}.  The phasors advance by
     e^{i w h} per step and are evaluated exactly at every step j with
-    j % REANCHOR == 0.  They are read in one of two ways:
-
-    - `next()` returns the weighted moments of the next step, shape
-      (k, ..., modes), from `weights`, which stacks one weight array per
-      integral wanted; their real (or imaginary) parts summed over modes
-      are the integrals.
-    - `fill(table)` writes the unweighted phasors of the next len(table)
-      steps into `table`, shape (steps, ..., modes), for a caller that
-      contracts them with its weights itself.
+    j % REANCHOR == 0.
     """
 
-    def __init__(self, omega, phase, h: float, weights=None,
-                 offset: float = 0.0):
+    def __init__(self, omega, phase, h: float, weights):
         self.omega = omega
         self.phase = phase
-        self.weights = weights
         self.h = h
-        self.offset = offset
+        # [Re w; -Im w] against the real view (re, im per mode) of a row's
+        # phasors
+        rows, modes = np.shape(omega)
+        matrix = np.empty((rows, modes, 2, len(weights)))
+        for k, w in enumerate(weights):
+            matrix[..., 0, k] = w.real
+            matrix[..., 1, k] = -w.imag
+        self.weights = matrix.reshape(rows, 2 * modes, -1)
         self.advance = np.exp(1j * h * omega)
-        self.phasor = np.empty_like(self.advance)
-        if weights is not None:
-            self.moments = np.empty(np.shape(weights), dtype=complex)
+        self.table = np.empty((BLOCK,) + np.shape(omega), dtype=complex)
+        self.last = 0       # the table entry holding the step before
         self.step = 0
 
-    def _exact(self, j: int, out: np.ndarray) -> np.ndarray:
-        arg = (j + self.offset) * self.h * self.omega - self.phase
-        np.cos(arg, out=out.real)
-        np.sin(arg, out=out.imag)
-        return out
-
-    def next(self) -> np.ndarray:
-        j = self.step
-        self.step += 1
-        if j % REANCHOR:
-            self.moments *= self.advance
-        else:
-            np.multiply(self._exact(j, self.phasor), self.weights,
-                        out=self.moments)
-        return self.moments
-
-    def fill(self, table: np.ndarray) -> np.ndarray:
-        last = self.phasor      # the phasors of the step before
+    def integrals(self, steps: int) -> np.ndarray:
+        """The integrals of the next `steps` <= BLOCK steps, shape (rows,
+        steps, k)."""
+        table = self.table[:steps]
+        last = self.table[self.last]
         for out in table:
             j = self.step
             self.step += 1
             if j % REANCHOR:
                 np.multiply(last, self.advance, out=out)
             else:
-                self._exact(j, out)
+                arg = j * self.h * self.omega - self.phase
+                np.cos(arg, out=out.real)
+                np.sin(arg, out=out.imag)
             last = out
-        self.phasor[...] = last
-        return table
+        self.last = steps - 1
+        return np.matmul(table.view(float).transpose(1, 0, 2), self.weights)

@@ -19,10 +19,10 @@ with q(x) = (sin x / x - cos x) / x.  The step exponent is
 Omega = -i [h h_z sigma_z + D0 sigma_x - 2 h h_z E1 sigma_y], applied as
 the exact 2x2 exponential.  At h_z = 0 each step is an exact rotation, so
 the closed form psi = cos(Phi)|up> - i sin(Phi)|down>, Phi = lambda * int
-eta, is reproduced to rounding.  The moments come from the shared kernel
-`noise.PhasorMoments`.  Every sum is a fixed-order reduction of
-elementwise products, so the result does not depend on the BLAS thread
-count.
+eta, is reproduced to rounding.  The moments come from
+`noise.PhasorMoments`, read min(n, noise.BLOCK) substeps at a time, with
+the shift e^{i w h/2} from a substep's start to its midpoint folded into
+the weights.
 
 `rtol` bounds the estimated purity error.  One pass gives the curves P_n
 and P_{n/2} for n and n/2 substeps per dt_out (a coarse step uses the
@@ -39,11 +39,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HorizonError, IntegrationAbort, ParameterError
-from .noise import (NoiseSpectrum, PhasorMoments, first_moment_weights,
-                    interval_weights, sample_signal)
+from .noise import (BLOCK, NoiseSpectrum, PhasorMoments,
+                    first_moment_weights, interval_weights, sample_signal)
 
 QUBIT_STREAM_TAG = "qubit"
-ENGINE = "magnus4-batched"
+ENGINE = f"magnus4-block{BLOCK}"
 _MAX_SUBSTEPS = 1024    # per dt_out
 _CHUNK_ELEMENTS = 1 << 16
 
@@ -109,17 +109,19 @@ def _propagate(run: QubitRun, omega, amp, phase, n_out: int, n: int,
     scale = run.spectrum.coupling / np.sqrt(n_modes)
     a_z = h * run.h_z
     rows = max(1, _CHUNK_ELEMENTS // n_modes)
+    per_read = min(n, BLOCK)    # even, so a fine pair lies in one read
     rho = np.zeros((2, n_out, 2, 2), dtype=complex)
     chunks = range(0, n_real, rows)
     for done, lo in enumerate(chunks, 1):
         om, am, ph = (a[lo:lo + rows] for a in (omega, amp, phase))
-        weights = [interval_weights(om, am, scale, h)]
-        if a_z:     # a_y = -2 h h_z E1, folded into one weight
-            weights.append(first_moment_weights(om, am, scale * h * h * run.h_z,
-                                                h))
-        # a_x and a_y are the real and imaginary parts of the moments summed
-        # over modes; substep j is centred on (j + 1/2) h
-        kernel = PhasorMoments(om, ph, h, np.stack(weights), offset=0.5)
+        # a_x and a_y = -2 h h_z E1 as integrals of the kernel: substep j
+        # is centred on (j + 1/2) h
+        shift = np.exp(0.5j * h * om)
+        weights = [shift * interval_weights(om, am, scale, h)]
+        if a_z:
+            weights.append(-1j * shift * first_moment_weights(
+                om, am, scale * h * h * run.h_z, h))
+        kernel = PhasorMoments(om, ph, h, weights)
         # psi over (fine/coarse, time, component, realization)
         psi = np.zeros((2, n_out, 2, om.shape[0]), dtype=complex)
         psi[:, 0, 0] = 1.0
@@ -128,10 +130,11 @@ def _propagate(run: QubitRun, omega, amp, phase, n_out: int, n: int,
         a_y = 0.0
         for k in range(1, n_out):
             for i in range(n):
-                moments = kernel.next()
-                a_x = moments[0].real.sum(axis=1)
+                if i % per_read == 0:
+                    moments = kernel.integrals(per_read)
+                a_x = moments[:, i % per_read, 0]
                 if a_z:
-                    a_y = moments[1].imag.sum(axis=1)
+                    a_y = moments[:, i % per_read, 1]
                 up, down = _step(up, down, a_x, a_y, a_z)
                 if i % 2 == 0:
                     first_x, first_y = a_x, a_y

@@ -26,7 +26,7 @@ from annealkit.fermion import (BdgModes, ChainSpec, bdg_matrices,
                                quasiparticle_energies, residual_energy,
                                spin_spectrum, transverse_magnetization,
                                vacuum_residual_energy)
-from annealkit.noise import NoiseSpectrum, sample_signal
+from annealkit.noise import BLOCK, NoiseSpectrum, sample_signal
 
 I2 = np.eye(2)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -216,17 +216,15 @@ class TestMajoranaEngine:
                 <= 1e-12
 
     def test_blocked_noise_angles_are_exact(self):
-        # steps on both sides of block (8) and re-anchor (64) boundaries
+        # steps on both sides of block (8) and re-anchor (64) boundaries,
+        # read in full blocks and, in mid-stream, in partial ones
         chain = noisy_chain(3, seed=3, coupling=0.1, n_modes=40)
         h = 0.3
-        rows, kernel, weights = fermion._noise_kernel([chain], h)
-        table = np.empty((fermion._BLOCK,) + kernel.omega.shape,
-                         dtype=complex)
-        angles = np.concatenate(
-            [fermion._noise_angles(kernel, weights, table)
-             for _ in range(0, 136, fermion._BLOCK)], axis=1)
+        rows, kernel = fermion._noise_kernel([chain], h)
+        reads = [BLOCK] * 7 + [3, 5] + [BLOCK] * 9
+        angles = np.concatenate([kernel.integrals(n) for n in reads], axis=1)
         edges = fermion._EDGES * h
-        for j in (7, 8, 63, 64, 65, 128):
+        for j in (7, 8, 56, 58, 59, 63, 64, 65, 128):
             for i, sig in enumerate(chain.signals):
                 for k in range(7):
                     want, _ = quad(sig.eval, j * h + edges[k],

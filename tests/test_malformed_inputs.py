@@ -142,6 +142,35 @@ class TestMalformedFilesExitCleanly:
         run_decode(tmp_path, capsys, dict(device_files, couplers=str(couplers),
                                           logical_map=str(logical_map)))
 
+    @pytest.mark.parametrize("value", ["abc", [1], True],
+                             ids=["text", "list", "bool"])
+    def test_sample_annealing_time_not_real(self, tmp_path, capsys,
+                                            device_files, value):
+        path = tmp_path / "samples.txt.meta.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()),
+                                        annealing_time=value)))
+        with pytest.raises(SchemaError):
+            read_samples(device_files["samples"])
+        run_decode(tmp_path, capsys, device_files)
+
+    @pytest.mark.parametrize("header, replacement", [
+        ("tile_side", ""), ("tile_side", "# tile_side: 4.5\n"),
+        ("annealing_time", ""), ("annealing_time", "# annealing_time: abc\n"),
+    ], ids=["no_tile_side", "fractional_tile_side", "no_annealing_time",
+            "annealing_time_text"])
+    def test_decoded_table_header(self, tmp_path, capsys, device_files,
+                                  header, replacement):
+        cfg = write_config(tmp_path, {"output_dir": str(tmp_path),
+                                      "decode": device_files})
+        assert cli.main(["decode", "--config", cfg]) == 0
+        path = tmp_path / "decoded.tsv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(replacement if line.startswith(f"# {header}:")
+                                else line for line in lines))
+        cfg = write_config(tmp_path, {"output_dir": str(tmp_path),
+                                      "aggregate": {"input": str(path)}})
+        assert_clean_exit(capsys, ["aggregate", "--config", cfg])
+
     @pytest.mark.parametrize("content", ["[1, 2]", "{broken", "\udcff"],
                              ids=["not_an_object", "bad_json", "non_utf8"])
     def test_bad_fit_summary(self, tmp_path, capsys, content):

@@ -188,6 +188,18 @@ class TestPhasorMoments:
         sig = self.SIGNAL
         return sig.omega[None], sig.amp[None], sig.phase[None]
 
+    @staticmethod
+    def read(kernel, total):
+        """The integrals of `total` steps, shape (rows, steps, k), read in
+        calls of 3, 8 and 5 steps: partial reads in mid-stream, and reads
+        that straddle the block and re-anchor boundaries."""
+        reads, done = [], 0
+        while done < total:
+            steps = (3, 8, 5)[len(reads) % 3]
+            reads.append(kernel.integrals(steps))
+            done += steps
+        return np.concatenate(reads, axis=1)
+
     def test_sub_interval_integrals_are_exact(self):
         # signed lengths and centres within a step, one running backwards
         h = 0.37
@@ -195,29 +207,36 @@ class TestPhasorMoments:
         centres = np.array([0.15, 0.275, 0.625]) * h
         omega, amp, phase = self.modes()
         scale = 1.0 / np.sqrt(self.SIGNAL.n_modes)
-        weights = np.stack([interval_weights(omega, amp, scale, d)
-                            * np.exp(1j * c * omega)
-                            for d, c in zip(lengths, centres)])
-        kernel = PhasorMoments(omega, phase, h, weights)
+        weights = [interval_weights(omega, amp, scale, d)
+                   * np.exp(1j * c * omega)
+                   for d, c in zip(lengths, centres)]
+        got = self.read(PhasorMoments(omega, phase, h, weights),
+                        2 * REANCHOR + 20)[0]
         for j in range(2 * REANCHOR + 20):
-            got = kernel.next().real.sum(axis=-1)[:, 0]
-            for d, c, value in zip(lengths, centres, got):
+            for d, c, value in zip(lengths, centres, got[j]):
                 t_c = j * h + c
                 want, _ = quad(self.SIGNAL.eval, t_c - d / 2, t_c + d / 2,
                                epsabs=1e-14, epsrel=1e-13)
                 assert value == pytest.approx(want, abs=1e-12), (j, d)
 
     def test_first_moment(self):
+        # the qubit's weights: the integral and minus the first moment over
+        # a step of length h, shifted from its start to its midpoint
         h = 0.8
         omega, amp, phase = self.modes()
         scale = 1.0 / np.sqrt(self.SIGNAL.n_modes)
-        weights = first_moment_weights(omega, amp, scale * h * h / 2, h)[None]
-        kernel = PhasorMoments(omega, phase, h, weights, offset=0.5)
+        shift = np.exp(0.5j * h * omega)
+        weights = [shift * interval_weights(omega, amp, scale, h),
+                   -1j * shift * first_moment_weights(omega, amp,
+                                                      scale * h * h / 2, h)]
+        got = self.read(PhasorMoments(omega, phase, h, weights),
+                        REANCHOR + 3)[0]
         for j in range(REANCHOR + 3):
-            got = -kernel.next().imag.sum()
             t_c = (j + 0.5) * h
-            want, _ = quad(lambda t: (t - t_c) * self.SIGNAL.eval(t),
-                           t_c - h / 2, t_c + h / 2, epsabs=1e-14,
-                           epsrel=1e-13)
-            assert got == pytest.approx(want, abs=1e-12), j
-
+            integral, _ = quad(self.SIGNAL.eval, t_c - h / 2, t_c + h / 2,
+                               epsabs=1e-14, epsrel=1e-13)
+            moment, _ = quad(lambda t: (t - t_c) * self.SIGNAL.eval(t),
+                             t_c - h / 2, t_c + h / 2, epsabs=1e-14,
+                             epsrel=1e-13)
+            assert got[j, 0] == pytest.approx(integral, abs=1e-12), j
+            assert -got[j, 1] == pytest.approx(moment, abs=1e-12), j

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -191,20 +192,36 @@ class TestMagnusEngine:
             evolve_qubit(run)
 
     def test_reruns_are_bit_identical_for_any_blas_thread_count(self):
+        """The noise moments come from one matrix product per realization
+        and read.  Its bytes must not depend on the BLAS thread count: at
+        1,000 modes; at 5,000 modes and h_z = 0, where the product is a
+        matrix-vector one; and at 10,000 modes with 8 substeps per read,
+        where a product of 8 x 20,000 by 20,000 x 2 exceeds OpenBLAS's
+        default threshold for threading, 262,144 multiply-adds."""
         src = os.path.dirname(os.path.dirname(annealkit.__file__))
-        code = ("import hashlib; from annealkit.noise import NoiseSpectrum; "
-                "from annealkit.qubit import QubitRun, evolve_qubit; "
-                "c = evolve_qubit(QubitRun(h_z=0.1, t_max=10.0, "
-                "n_realizations=70, spectrum=NoiseSpectrum(coupling=0.05))); "
-                "print(hashlib.sha256(c.purity.tobytes()).hexdigest())")
-        digests = set()
+        code = textwrap.dedent("""
+            import hashlib
+            from annealkit.noise import NoiseSpectrum
+            from annealkit.qubit import QubitRun, evolve_qubit
+            for h_z, n_modes, n_real, rtol in ((0.1, 1000, 70, 1e-10),
+                                               (0.0, 5000, 20, 1e-10),
+                                               (0.1, 10000, 8, 1e-12)):
+                c = evolve_qubit(QubitRun(
+                    h_z=h_z, t_max=10.0, n_realizations=n_real, rtol=rtol,
+                    spectrum=NoiseSpectrum(coupling=0.05, n_modes=n_modes)))
+                print(c.substeps, hashlib.sha256(c.purity.tobytes()).hexdigest())
+            """)
+        outputs = set()
         for threads in ("1", "2", "2"):
             env = dict(os.environ, PYTHONPATH=src,
                        OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            digests.add(subprocess.run(
+            outputs.add(subprocess.run(
                 [sys.executable, "-c", code], env=env, check=True,
                 capture_output=True, text=True).stdout)
-        assert len(digests) == 1
+        assert len(outputs) == 1
+        # the h_z = 0.1 cases read 8 substeps at a time
+        substeps = [int(line.split()[0]) for line in outputs.pop().splitlines()]
+        assert substeps[0] >= 8 and substeps[2] >= 8, substeps
 
 
 def test_qubit_import_loads_no_scipy():
