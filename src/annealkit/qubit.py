@@ -109,7 +109,7 @@ def _propagate(run: QubitRun, omega, amp, phase, n_out: int, n: int,
     scale = run.spectrum.coupling / np.sqrt(n_modes)
     a_z = h * run.h_z
     rows = max(1, _CHUNK_ELEMENTS // n_modes)
-    per_read = min(n, BLOCK)    # even, so a fine pair lies in one read
+    per_read = min(n, BLOCK)    # divides n, a power of two
     rho = np.zeros((2, n_out, 2, 2), dtype=complex)
     chunks = range(0, n_real, rows)
     for done, lo in enumerate(chunks, 1):
