@@ -17,6 +17,17 @@ same-k inter-cell coupler.
 Broken qubits or couplers turn the touched logical sites into vacancies:
 every coupler touching either member qubit is omitted, and vacancies are
 excluded from all statistics.
+
+The device-data path is columnar.  `read_samples` parses a text sample
+file with one numpy call; `decode_samples` returns a dict of arrays
+named by DECODED_COLUMNS, one entry per tile-run, which `write_table`
+writes column by column; `read_decoded` reads such a table back and
+`aggregate_tiles` takes its columns by name.  Malformed inputs raise
+SchemaError: a decoded table whose column line is not DECODED_COLUMNS,
+whose tile, run or hc_violations is not a non-negative integer or whose
+excluded flag is not 0 or 1; an annealing time that is present but not
+positive and finite; a qubit claimed by two sites; a coupler listed
+twice or joining a qubit to itself.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 import warnings
@@ -157,6 +169,9 @@ class Embedding:
     vacancies: frozenset
     hc_couplers: dict    # site -> (q1, q2, value); non-vacancy sites only
     bonds: dict          # (site_a, site_b) -> tuple of (q1, q2, value)
+    # coupler_digest() as computed from the coupler list read back by
+    # read_embedding; None makes coupler_digest() compute it
+    digest: Optional[str] = None
 
     def active_sites(self, tile_id: Optional[int] = None):
         out = [s for s in self.pairs if s not in self.vacancies]
@@ -184,18 +199,16 @@ class Embedding:
         n_inter = sum(len(c) for c in self.bonds.values() if len(c) == 1)
         return {"hc": len(self.hc_couplers), "intra": n_intra, "inter": n_inter}
 
-    def vacancy_fraction(self, tile_id: int) -> float:
-        sites = [s for s in self.pairs if self.site_tile[s] == tile_id]
-        if not sites:
-            return 1.0
-        return sum(1 for s in sites if s in self.vacancies) / len(sites)
-
     def coupler_digest(self) -> str:
         """Fingerprint of the programmed couplers; stamped into sample
         metadata so decoding against the wrong embedding is caught."""
-        blob = "\n".join(f"{q1} {q2} {val!r}"
-                         for q1, q2, val in self.coupler_list())
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return self.digest or _digest(self.coupler_list())
+
+
+def _digest(rows) -> str:
+    """Fingerprint of sorted (q1, q2, value) coupler rows, q1 < q2."""
+    blob = "\n".join(f"{q1} {q2} {val!r}" for q1, q2, val in rows)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _in_same_cell(s1, s2) -> bool:
@@ -323,7 +336,7 @@ class SampleSet:
         vals = np.asarray(self.values, dtype=np.int8)
         if vals.ndim != 2 or vals.shape[1] != N_QUBITS:
             raise SchemaError(f"sample records must have {N_QUBITS} entries")
-        if not np.all(np.isin(vals, (-1, 1))):
+        if not np.all(np.abs(vals) == 1):
             raise SchemaError("sample values must be +-1")
         self.values = vals
 
@@ -332,20 +345,14 @@ class SampleSet:
         return self.values.shape[0]
 
 
-class TileStats(NamedTuple):
-    tile: int
-    run: int
-    delta_e_phys: float
-    delta_m_phys: float
-    delta_e_logical: float
-    delta_m_logical: float
-    hc_violations: int
-    excluded: bool
-
-
 def decode_samples(samples: SampleSet, emb: Embedding,
-                   vacancy_threshold: float = 0.05) -> list:
-    """Per-tile, per-run observables from the raw records.
+                   vacancy_threshold: float = 0.05) -> dict:
+    """Per-tile, per-run observables from the raw records, as columns.
+
+    Returns a dict mapping each of DECODED_COLUMNS to a 1-D array with
+    one entry per tile-run, tile-major in placement order: `tile`,
+    `run` and `hc_violations` are int64, the four observables float64
+    and `excluded` bool.
 
     Vacancy sites are excluded everywhere; tiles whose vacancy fraction
     exceeds the threshold are flagged excluded.  Energies are energy
@@ -355,89 +362,104 @@ def decode_samples(samples: SampleSet, emb: Embedding,
     to one spin (ties resolved by the lower-indexed qubit).
     """
     recorded = samples.metadata.get("coupler_digest")
-    if recorded is not None and recorded != emb.coupler_digest():
-        raise SchemaError(
-            f"sample set was taken with couplers {recorded}, but the "
-            f"embedding programs {emb.coupler_digest()}")
-    vals = samples.values
-    out = []
-    for tile in emb.placements:
-        sites = emb.active_sites(tile.tile_id)
-        excluded = emb.vacancy_fraction(tile.tile_id) > vacancy_threshold
-        if not sites:
-            for run in range(samples.n_runs):
-                out.append(TileStats(tile.tile_id, run, np.nan, np.nan,
-                                     np.nan, np.nan, 0, True))
+    if recorded is not None:
+        programmed = emb.coupler_digest()
+        if recorded != programmed:
+            raise SchemaError(
+                f"sample set was taken with couplers {recorded}, but the "
+                f"embedding programs {programmed}")
+    # one pass over the sites and one over the bonds, grouped by tile
+    n_sites, active, couplers, bonds = {}, {}, {}, {}
+    for site in sorted(emb.pairs):
+        tile = emb.site_tile[site]
+        n_sites[tile] = n_sites.get(tile, 0) + 1
+        if site not in emb.vacancies:
+            active.setdefault(tile, []).append(site)
+    for (s1, s2), cs in emb.bonds.items():
+        tile = emb.site_tile[s1]
+        couplers.setdefault(tile, []).extend(cs)
+        bonds.setdefault(tile, []).append((s1, s2, len(cs)))
+
+    n_runs = samples.n_runs
+    tile_ids = [tile.tile_id for tile in emb.placements]
+    size = len(tile_ids) * n_runs
+    out = {"tile": np.repeat(np.array(tile_ids, dtype=np.int64), n_runs),
+           "run": np.tile(np.arange(n_runs, dtype=np.int64), len(tile_ids))}
+    for name in DECODED_COLUMNS[2:6]:
+        out[name] = np.full(size, np.nan)
+    out["hc_violations"] = np.zeros(size, dtype=np.int64)
+    out["excluded"] = np.ones(size, dtype=bool)   # tiles without sites
+    live = [tile for tile in tile_ids if tile in active]
+    if not live:
+        return out
+    rows = np.repeat([tile in active for tile in tile_ids], n_runs)
+    counts = np.array([len(active[tile]) for tile in live])
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    vacancy_fraction = [(n_sites[tile] - len(active[tile])) / n_sites[tile]
+                        for tile in live]
+    out["excluded"][rows] = np.repeat(
+        np.array(vacancy_fraction) > vacancy_threshold, n_runs)
+
+    # every live site's spins as rows of a (sites, runs) array; the
+    # integer observables are per-tile sums of its row blocks
+    spins = np.ascontiguousarray(samples.values.T)
+    sites = [site for tile in live for site in active[tile]]
+    row_of = {site: i for i, site in enumerate(sites)}
+    qv = np.array([emb.pairs[s][0] for s in sites])
+    qh = np.array([emb.pairs[s][1] for s in sites])
+    sv, sh = spins[qv], spins[qh]
+    agree = sv == sh
+    logical = np.where(agree, sv, spins[np.minimum(qv, qh)])  # tie rule
+
+    def tile_sums(x):
+        return np.add.reduceat(x, starts, axis=0, dtype=np.int64)
+
+    out["delta_m_phys"][rows] = \
+        (2 * counts[:, None] - np.abs(tile_sums(sv) + tile_sums(sh))).ravel()
+    out["delta_m_logical"][rows] = \
+        (counts[:, None] - np.abs(tile_sums(logical))).ravel()
+    out["hc_violations"][rows] = tile_sums(~agree).ravel()
+
+    # energies tile by tile, each one matrix-vector product of the
+    # tile's (runs, couplers) products held column-major: BLAS picks its
+    # kernel, and so the rounding of every sum, by that layout
+    e_phys = np.zeros((len(live), n_runs))
+    e_log = np.zeros((len(live), n_runs))
+    for k, tile in enumerate(live):
+        if tile not in couplers:
             continue
-        qv = np.array([emb.pairs[s][0] for s in sites])
-        qh = np.array([emb.pairs[s][1] for s in sites])
-        site_pos = {s: i for i, s in enumerate(sites)}
-
-        cq1, cq2, cj = [], [], []
-        bq1, bq2, bj = [], [], []   # logical bonds
-        for (s1, s2), cs in emb.bonds.items():
-            if emb.site_tile[s1] != tile.tile_id:
-                continue
-            for q1, q2, val in cs:
-                cq1.append(q1)
-                cq2.append(q2)
-                cj.append(val)
-            bq1.append(site_pos[s1])
-            bq2.append(site_pos[s2])
-            bj.append(sum(val for _, _, val in cs))
-        cq1, cq2 = np.array(cq1, int), np.array(cq2, int)
-        cj = np.array(cj, float)
-        bq1, bq2 = np.array(bq1, int), np.array(bq2, int)
-        bj = np.array(bj, float)
-
-        # physical observables
-        if len(cj):
-            e_phys = (vals[:, cq1] * vals[:, cq2]).astype(float) @ cj
-            e_phys -= -np.abs(cj).sum()
-        else:
-            e_phys = np.zeros(samples.n_runs)
-        m_phys = vals[:, qv].sum(axis=1) + vals[:, qh].sum(axis=1)
-        dm_phys = 2 * len(sites) - np.abs(m_phys)
-
-        # logical decode
-        agree = vals[:, qv] == vals[:, qh]
-        tie = np.minimum(qv, qh)
-        logical = np.where(agree, vals[:, qv], vals[:, tie])
-        violations = (~agree).sum(axis=1)
-        if len(bj):
-            e_log = (logical[:, bq1] * logical[:, bq2]).astype(float) @ bj
-            e_log -= -np.abs(bj).sum()
-        else:
-            e_log = np.zeros(samples.n_runs)
-        dm_log = len(sites) - np.abs(logical.sum(axis=1))
-
-        for run in range(samples.n_runs):
-            out.append(TileStats(tile.tile_id, run,
-                                 float(e_phys[run]), float(dm_phys[run]),
-                                 float(e_log[run]), float(dm_log[run]),
-                                 int(violations[run]), excluded))
+        cq1, cq2, cj = map(np.array, zip(*couplers[tile]))
+        products = (spins[cq1] * spins[cq2]).T.astype(float)
+        e_phys[k] = products @ cj + np.abs(cj).sum()
+        s1, s2, sizes = zip(*bonds[tile])
+        bj = np.add.reduceat(cj, np.cumsum((0,) + sizes[:-1]))  # per bond
+        products = (logical[[row_of[s] for s in s1]]
+                    * logical[[row_of[s] for s in s2]])
+        e_log[k] = products.T.astype(float) @ bj + np.abs(bj).sum()
+    out["delta_e_phys"][rows] = e_phys.ravel()
+    out["delta_e_logical"][rows] = e_log.ravel()
     return out
 
 
-def aggregate_tiles(decoded: Sequence[TileStats], L: int, v: float,
-                    n_bins: int = 20) -> dict:
+def aggregate_tiles(decoded, L: int, v: float, n_bins: int = 20) -> dict:
     """Means with binned errors over all non-excluded tile-runs.
 
-    Each tile-run counts as one independent measurement.  With a single
-    measurement the errors are reported as NaN (missing); identical
-    repeated measurements give 0.
+    `decoded` maps the DECODED_COLUMNS names to 1-D arrays: the result
+    of decode_samples, or the Table of read_decoded.  Each tile-run
+    counts as one independent measurement.  With a single measurement
+    the errors are reported as NaN (missing); identical repeated
+    measurements give 0.
     """
-    rows = [r for r in decoded if not r.excluded]
-    if not rows:
+    kept = ~np.asarray(decoded["excluded"], dtype=bool)
+    n_real = int(np.count_nonzero(kept))
+    if not n_real:
         raise ParameterError("no tile-runs left after exclusions")
-    fields = ("delta_e_phys", "delta_m_phys", "delta_e_logical",
-              "delta_m_logical")
-    result = {"L": L, "v": v, "n_real": len(rows)}
-    for name in fields:
+    result = {"L": L, "v": v, "n_real": n_real}
+    for name in DECODED_COLUMNS[2:6]:
         mean, stderr, result["n_bins"] = bin_stats(
-            np.array([getattr(r, name) for r in rows]), n_bins)
+            np.asarray(decoded[name], dtype=float)[kept], n_bins)
         result[name + "_mean"] = mean
-        result[name + "_stderr"] = stderr if len(rows) > 1 else float("nan")
+        result[name + "_stderr"] = stderr if n_real > 1 else float("nan")
     return result
 
 
@@ -485,18 +507,30 @@ def write_coupler_list(path, emb: Embedding) -> None:
             fh.write(f"{q1} {q2} {val!r}\n")
 
 
-def read_coupler_list(path):
-    """(metadata, [(q1, q2, J)]) of a coupler-list document."""
+def _coupler_arrays(path) -> tuple:
+    """(metadata, qubits, values) of a coupler-list document: qubits is
+    an (n, 2) int64 array holding two different qubit indices of the chip
+    per coupler, values the n coupler values."""
     table = read_table(path)
     if table.meta.get("schema") != COUPLER_SCHEMA:
         raise SchemaError(f"{path} is not a {COUPLER_SCHEMA} document")
     if table.columns != ["q1", "q2", "J"]:
         raise SchemaError(f"unexpected coupler header: {' '.join(table.columns)}")
     qubits = table.data[:, :2]
-    if not np.all(np.isfinite(qubits) & (qubits == np.trunc(qubits))):
-        raise SchemaError(f"{path} has a non-integer qubit index")
-    rows = [(int(a), int(b), j) for a, b, j in table.data.tolist()]
-    return table.meta, rows
+    if not np.all((qubits == np.trunc(qubits)) & (qubits >= 0)
+                  & (qubits < N_QUBITS)):
+        raise SchemaError(f"{path} has a qubit index that is not an "
+                          f"integer in [0, {N_QUBITS})")
+    if np.any(qubits[:, 0] == qubits[:, 1]):
+        raise SchemaError(f"{path}: a coupler joins a qubit to itself")
+    return table.meta, qubits.astype(np.int64), table.data[:, 2]
+
+
+def read_coupler_list(path):
+    """(metadata, [(q1, q2, J)]) of a coupler-list document; q1 and q2
+    are two different qubit indices of the chip."""
+    meta, qubits, values = _coupler_arrays(path)
+    return meta, list(zip(*qubits.T.tolist(), values.tolist()))
 
 
 def write_logical_map(path, emb: Embedding) -> None:
@@ -525,55 +559,68 @@ def _int_list(value, length: int, bound: Optional[int]) -> bool:
 
 
 def read_embedding(coupler_path, map_path) -> Embedding:
-    """Rebuild an Embedding from its two emitted documents."""
-    _, couplers = read_coupler_list(coupler_path)
+    """Rebuild an Embedding from its two emitted documents.
+
+    Every qubit belongs to at most one site, and every coupler is listed
+    once and joins two qubits of non-vacancy sites of one tile; anything
+    else raises SchemaError.
+    """
+    _, qubits, values = _coupler_arrays(coupler_path)
     doc = require_fields(read_document(map_path, LOGICAL_MAP_SCHEMA),
                          {"tile_side": int, "j_ising": float, "j_hc": float,
                           "placements": list, "sites": list}, str(map_path))
     if not all(_int_list(p, 3, None) for p in doc["placements"]):
         raise SchemaError(f"{map_path}: a placement is not [tile, x0, y0]")
-    pairs, site_tile, vacancies = {}, {}, set()
-    owner = {}
+    site_fields = {"x": int, "y": int, "tile": int, "qubits": list,
+                   "vacancy": bool}
+    where = f"{map_path} site entry"
+    pairs, site_tile, vacancies, owner = {}, {}, set(), {}
     for entry in doc["sites"]:
-        require_fields(entry, {"x": int, "y": int, "tile": int,
-                               "qubits": list, "vacancy": bool},
-                       f"{map_path} site entry")
-        if not _int_list(entry["qubits"], 2, N_QUBITS):
-            raise SchemaError(f"{map_path}: site qubits {entry['qubits']} "
+        require_fields(entry, site_fields, where)
+        pair = entry["qubits"]
+        if not _int_list(pair, 2, N_QUBITS):
+            raise SchemaError(f"{map_path}: site qubits {pair} "
                               f"are not two qubit indices")
         site = (entry["x"], entry["y"])
-        pairs[site] = tuple(entry["qubits"])
+        for q in pair:
+            if q in owner:
+                raise SchemaError(f"{map_path}: qubit {q} belongs to sites "
+                                  f"{owner[q]} and {site}")
+            owner[q] = site
+        pairs[site] = tuple(pair)
         site_tile[site] = entry["tile"]
         if entry["vacancy"]:
             vacancies.add(site)
-        else:
-            for q in entry["qubits"]:
-                owner[q] = site
     hc, bond_map = {}, {}
-    hc_keys = {tuple(sorted(pairs[s])): s
-               for s in pairs if s not in vacancies}
-    for q1, q2, val in couplers:
-        key = (min(q1, q2), max(q1, q2))
-        if key in hc_keys:
-            site = hc_keys[key]
-            hc[site] = (pairs[site][0], pairs[site][1], val)
-            continue
-        if q1 not in owner or q2 not in owner:
+    for q1, q2, val in zip(*qubits.T.tolist(), values.tolist()):
+        s1, s2 = owner.get(q1), owner.get(q2)
+        if s1 is None or s2 is None or s1 in vacancies or s2 in vacancies:
             raise SchemaError(f"coupler ({q1}, {q2}) touches a qubit that no "
                               f"site of {map_path} owns")
-        s1, s2 = owner[q1], owner[q2]
+        if s1 == s2:      # the two qubits of one site
+            hc[s1] = (*pairs[s1], val)
+            continue
         if site_tile[s1] != site_tile[s2]:
             raise SchemaError(f"coupler ({q1}, {q2}) joins sites of tiles "
                               f"{site_tile[s1]} and {site_tile[s2]}")
         bond = (s1, s2) if (s1 < s2) else (s2, s1)
         bond_map.setdefault(bond, []).append((q1, q2, val))
     bonds = {bond: tuple(sorted(cs)) for bond, cs in bond_map.items()}
+    # the couplers as coupler_list() orders them, for the digest
+    key = np.sort(qubits, axis=1)
+    order = np.lexsort((key[:, 1], key[:, 0]))
+    key = key[order]
+    repeated = np.flatnonzero(np.all(key[1:] == key[:-1], axis=1))
+    if len(repeated):
+        raise SchemaError(f"{coupler_path}: coupler "
+                          f"{tuple(key[repeated[0]].tolist())} is listed twice")
     return Embedding(L=doc["tile_side"], j_ising=doc["j_ising"],
                      j_hc=doc["j_hc"],
                      placements=tuple(TilePlacement(*p) for p in doc["placements"]),
                      pairs=pairs, site_tile=site_tile,
                      vacancies=frozenset(vacancies), hc_couplers=hc,
-                     bonds=bonds)
+                     bonds=bonds, digest=_digest(
+                         zip(*key.T.tolist(), values[order].tolist())))
 
 
 def write_samples(path, samples: SampleSet, fmt: str = "text") -> None:
@@ -619,15 +666,13 @@ def read_samples(path) -> SampleSet:
         else:
             values = None
     if values is None:
-        rows = []
         try:
             with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    rows.append([int(tok) for tok in line.split()])
-            values = np.array(rows, dtype=np.int8)
+                lines = [line.strip() for line in fh.read().split("\n")]
+            records = [line for line in lines
+                       if line and not line.startswith("#")]
+            values = (np.loadtxt(records, dtype=np.int8, comments=None, ndmin=2)
+                      if records else np.empty((0, 0), dtype=np.int8))
         except (ValueError, OverflowError) as exc:
             raise SchemaError(f"{path}: malformed sample records: {exc}") from None
     metadata = {}
@@ -636,4 +681,44 @@ def read_samples(path) -> SampleSet:
         metadata = read_document(sidecar)
         if "annealing_time" in metadata:
             require_fields(metadata, {"annealing_time": float}, sidecar)
+            if not 0 < metadata["annealing_time"] <= sys.float_info.max:
+                raise SchemaError(f"{sidecar}: 'annealing_time' must be "
+                                  f"positive and finite")
     return SampleSet(values=values, metadata=metadata)
+
+
+def read_decoded(path) -> tuple:
+    """(table, tile side, annealing time) of a decoded-tiles table.
+
+    The column line must equal DECODED_COLUMNS; `tile`, `run` and
+    `hc_violations` must be non-negative integers and `excluded` 0 or
+    1.  The `tile_side` header must be an int and `annealing_time` a
+    positive finite float or nan (samples without one).  Anything else
+    raises SchemaError.
+    """
+    table = read_table(path)
+    if table.meta.get("schema") != DECODED_SCHEMA:
+        raise SchemaError(f"{path} is not a {DECODED_SCHEMA} table")
+    if table.columns != list(DECODED_COLUMNS):
+        raise SchemaError(f"{path}: columns '{' '.join(table.columns)}' are "
+                          f"not '{' '.join(DECODED_COLUMNS)}'")
+    header = {}
+    for key, kind in (("tile_side", int), ("annealing_time", float)):
+        try:
+            header[key] = kind(table.meta[key])
+        except (KeyError, ValueError):
+            raise SchemaError(f"{path}: header {key!r} is missing or not "
+                              f"{kind.__name__}") from None
+    anneal_time = header["annealing_time"]
+    if not (np.isnan(anneal_time) or 0 < anneal_time < np.inf):
+        raise SchemaError(f"{path}: annealing_time {anneal_time!r} is not "
+                          f"positive and finite")
+    counts = np.stack([table[name] for name in ("tile", "run",
+                                                "hc_violations")])
+    if not np.all(np.isfinite(counts) & (counts >= 0)
+                  & (counts == np.trunc(counts))):
+        raise SchemaError(f"{path}: tile, run and hc_violations must be "
+                          f"non-negative integers")
+    if not np.all(np.isin(table["excluded"], (0, 1))):
+        raise SchemaError(f"{path}: excluded must be 0 or 1")
+    return table, header["tile_side"], anneal_time

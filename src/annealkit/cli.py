@@ -292,35 +292,19 @@ def cmd_decode(args) -> int:
     write_table(out, DECODED_COLUMNS, decoded,
                 {"schema": DECODED_SCHEMA, "config_digest": digest,
                  "tile_side": emb.L, "annealing_time": repr(float(anneal_time))})
-    print(f"wrote {out} ({len(decoded)} tile-runs)")
+    print(f"wrote {out} ({len(decoded['tile'])} tile-runs)")
     return EXIT_OK
-
-
-def _header_value(table, key: str, kind, path: str):
-    """A table's `# key: value` header as `kind`; SchemaError if missing
-    or malformed."""
-    try:
-        return kind(table.meta[key])
-    except (KeyError, ValueError):
-        raise SchemaError(f"{path}: header {key!r} is missing or not "
-                          f"{kind.__name__}") from None
 
 
 def cmd_aggregate(args) -> int:
     from .chimera import (DEVICE_CURVE_COLUMNS, DEVICE_CURVE_SCHEMA,
-                          DECODED_SCHEMA, TileStats, aggregate_tiles)
+                          aggregate_tiles, read_decoded)
 
     doc, digest = _effective_config(args)
     sec = _require(doc, "aggregate", "input")
-    table = read_table(sec["input"])
-    if table.meta.get("schema") != DECODED_SCHEMA:
-        raise SchemaError(f"{sec['input']} is not a {DECODED_SCHEMA} table")
-    L = _header_value(table, "tile_side", int, sec["input"])
-    anneal_time = _header_value(table, "annealing_time", float, sec["input"])
-    v = 1.0 / anneal_time if anneal_time > 0 else float("nan")
-    decoded = [TileStats(int(r[0]), int(r[1]), r[2], r[3], r[4], r[5],
-                         int(r[6]), bool(r[7])) for r in table.rows()]
-    agg = aggregate_tiles(decoded, L=L, v=v, n_bins=sec.get("n_bins", 20))
+    table, L, anneal_time = read_decoded(sec["input"])
+    agg = aggregate_tiles(table, L=L, v=1.0 / anneal_time,
+                          n_bins=sec.get("n_bins", 20))
     out = _outpath(doc, sec.get("output", "device_curve.tsv"))
     row = tuple(agg[key] for key in
                 ("L", "v", "delta_e_phys_mean", "delta_e_phys_stderr",

@@ -28,28 +28,67 @@ def _format_value(x) -> str:
     return str(x)
 
 
-def format_row(row: Sequence) -> str:
-    return " ".join(_format_value(x) for x in row)
+def _format_column(values) -> list:
+    """Cells of one column.  A bool, int or float array is formatted one
+    distinct bit pattern at a time, so signed zeros and every NaN keep
+    their own cells; anything else is formatted value by value."""
+    dtype = getattr(values, "dtype", None)
+    if dtype is None or dtype.kind not in "biuf" or dtype.itemsize > 8:
+        return list(map(_format_value, values))
+    bits, where = np.unique(
+        np.ascontiguousarray(values).view(f"u{dtype.itemsize}"),
+        return_inverse=True)
+    cells = np.array(list(map(_format_value, bits.view(dtype))), dtype=object)
+    return cells[where].tolist()
 
 
-def write_table(path, columns: Sequence[str], rows: Iterable[Sequence],
+# rows formatted per write: bounds the cells held in memory at once
+_CHUNK_ROWS = 2048
+
+
+def write_table(path, columns: Sequence[str], rows: Iterable[Sequence] | dict,
                 meta: dict | None = None) -> None:
+    """Write a table from an iterable of rows, or from a dict mapping each
+    column name to a 1-D array of equal length."""
+    if isinstance(rows, dict):
+        data = [rows[name] for name in columns]
+    else:
+        data = list(zip(*rows)) or [()]
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in (meta or {}).items():
             fh.write(f"# {key}: {value}\n")
         fh.write(" ".join(columns) + "\n")
-        for row in rows:
-            fh.write(format_row(row) + "\n")
+        for start in range(0, len(data[0]), _CHUNK_ROWS):
+            cells = [_format_column(col[start:start + _CHUNK_ROWS])
+                     for col in data]
+            fh.write("\n".join(map(" ".join, zip(*cells))) + "\n")
 
 
 def append_row(path, columns: Sequence[str], row: Sequence,
                meta: dict | None = None) -> None:
-    """Append one row, creating the file with headers on first use."""
+    """Append one row, creating the file with headers on first use.
+
+    An existing file must carry the same `# schema:` and column line as
+    the file this call would create; anything else raises SchemaError.
+    """
     if not os.path.exists(path):
         write_table(path, columns, [row], meta)
         return
+    have_meta = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            _, have_columns = next(_records(fh, have_meta), (None, None))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
+    schema = (meta or {}).get("schema")
+    want = (None if schema is None else str(schema).strip(), list(columns))
+    have = (have_meta.get("schema"), have_columns)
+    if have != want:
+        raise SchemaError(f"{path} holds a {have[0]} table with columns "
+                          f"{have[1]}; refusing to append a {want[0]} row "
+                          f"with columns {want[1]}")
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(format_row(row) + "\n")
+        fh.write(" ".join(map(_format_value, row)) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
 
@@ -78,40 +117,45 @@ class Table:
         return (tuple(r) for r in self.data)
 
 
-def read_table(path) -> Table:
-    """Parse a table; malformed content raises SchemaError."""
-    meta = {}
-    columns = None
-    rows = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
+def _records(lines, meta: dict):
+    """(line, fields) of each line that is neither blank nor a comment;
+    the '# key: value' comment lines met on the way go into meta."""
     for line in lines:
-        line = line.strip()
-        if not line:
+        fields = line.split()
+        if not fields:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
+        if fields[0].startswith("#"):
+            body = line.strip()[1:].strip()
             if ":" in body:
                 key, _, value = body.partition(":")
                 meta[key.strip()] = value.strip()
             continue
-        if columns is None:
-            columns = line.split()
-            continue
-        parts = line.split()
-        if len(parts) != len(columns):
-            raise SchemaError(f"row width {len(parts)} != header width "
-                              f"{len(columns)} in {path}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise SchemaError(f"non-numeric entry in {path}: {line!r}") from None
+        yield line, fields
+
+
+def read_table(path) -> Table:
+    """Parse a table; malformed content raises SchemaError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
+    meta = {}
+    records = _records(text.split("\n"), meta)
+    _, columns = next(records, (None, None))
     if columns is None:
         raise SchemaError(f"{path} has no column header line")
-    data = np.array(rows, dtype=float) if rows else np.empty((0, len(columns)))
+    body = []
+    for line, fields in records:
+        if len(fields) != len(columns):
+            raise SchemaError(f"row width {len(fields)} != header width "
+                              f"{len(columns)} in {path}")
+        body.append(line)
+    try:
+        data = (np.loadtxt(body, dtype=float, comments=None, ndmin=2) if body
+                else np.empty((0, len(columns))))
+    except ValueError as exc:
+        raise SchemaError(f"non-numeric entry in {path}: {exc}") from None
     return Table(meta, columns, data)
 
 

@@ -298,10 +298,10 @@ class TestCriterion8EmbeddingAudit:
         gauge_ok = np.allclose(spec0, spec1)
 
         full = build_full_embedding(4)
-        rows = decode_samples(synthesize_samples(full, 5), full)
-        decode_ok = all(r.delta_e_phys == 0 and r.delta_m_phys == 0
-                        and r.delta_e_logical == 0 and r.delta_m_logical == 0
-                        and r.hc_violations == 0 for r in rows)
+        cols = decode_samples(synthesize_samples(full, 5), full)
+        decode_ok = all(np.all(cols[name] == 0) for name in (
+            "delta_e_phys", "delta_m_phys", "delta_e_logical",
+            "delta_m_logical", "hc_violations"))
         verdict(8, census_ok and audit_ok and round_trip_ok and gauge_ok
                 and decode_ok,
                 f"census {census} (=1024/2048/960), independent list audit "

@@ -1,11 +1,14 @@
 """Embedding construction, gauge symmetry, decoding, file round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import binom
 
-from annealkit.chimera import (GRID, LOGICAL_SIDE, N_QUBITS, DefectList,
-                               Embedding, SampleSet, TilePlacement,
+from annealkit.chimera import (DECODED_COLUMNS, GRID, LOGICAL_SIDE,
+                               N_QUBITS, DefectList, Embedding, SampleSet,
+                               TilePlacement,
                                aggregate_tiles, build_embedding,
                                build_full_embedding, checkerboard_gauge,
                                chimera_edge_exists, decode_samples,
@@ -206,29 +209,85 @@ class TestGauge:
             gauge_transform(emb, {})
 
 
+def reference_decode(samples, emb, vacancy_threshold=0.05):
+    """Tile-by-tile, run-by-run decode: the reference decode_samples must
+    match bit for bit, since both sum each tile's energy in one
+    matrix-vector product over the same couplers in the same order."""
+    vals = samples.values
+    rows = []
+    for tile in emb.placements:
+        sites = emb.active_sites(tile.tile_id)
+        in_tile = [s for s in emb.pairs if emb.site_tile[s] == tile.tile_id]
+        if not sites:
+            rows += [(tile.tile_id, run, np.nan, np.nan, np.nan, np.nan, 0,
+                      True) for run in range(samples.n_runs)]
+            continue
+        excluded = (len(in_tile) - len(sites)) / len(in_tile) \
+            > vacancy_threshold
+        qv = np.array([emb.pairs[s][0] for s in sites])
+        qh = np.array([emb.pairs[s][1] for s in sites])
+        site_pos = {s: i for i, s in enumerate(sites)}
+        cq1, cq2, cj, bq1, bq2, bj = [], [], [], [], [], []
+        for (s1, s2), cs in emb.bonds.items():
+            if emb.site_tile[s1] != tile.tile_id:
+                continue
+            for q1, q2, val in cs:
+                cq1.append(q1)
+                cq2.append(q2)
+                cj.append(val)
+            bq1.append(site_pos[s1])
+            bq2.append(site_pos[s2])
+            bj.append(sum(val for _, _, val in cs))
+        cj, bj = np.array(cj, float), np.array(bj, float)
+        e_phys = (vals[:, cq1] * vals[:, cq2]).astype(float) @ cj
+        e_phys -= -np.abs(cj).sum()
+        m_phys = vals[:, qv].sum(axis=1) + vals[:, qh].sum(axis=1)
+        agree = vals[:, qv] == vals[:, qh]
+        logical = np.where(agree, vals[:, qv], vals[:, np.minimum(qv, qh)])
+        e_log = (logical[:, bq1] * logical[:, bq2]).astype(float) @ bj
+        e_log -= -np.abs(bj).sum()
+        dm_log = len(sites) - np.abs(logical.sum(axis=1))
+        for run in range(samples.n_runs):
+            rows.append((tile.tile_id, run, float(e_phys[run]),
+                         float(2 * len(sites) - abs(m_phys[run])),
+                         float(e_log[run]), float(dm_log[run]),
+                         int((~agree[run]).sum()), excluded))
+    dtypes = (np.int64, np.int64) + (np.float64,) * 4 + (np.int64, bool)
+    return {name: np.array([r[i] for r in rows], dtype=dtype)
+            for i, (name, dtype) in enumerate(zip(DECODED_COLUMNS, dtypes))}
+
+
 class TestDecode:
     def test_all_up_is_perfect(self):
         emb = build_full_embedding(4)
-        rows = decode_samples(synthesize_samples(emb, 2), emb)
-        for r in rows:
-            assert r.delta_e_phys == 0.0
-            assert r.delta_m_phys == 0.0
-            assert r.delta_e_logical == 0.0
-            assert r.delta_m_logical == 0.0
-            assert r.hc_violations == 0
+        cols = decode_samples(synthesize_samples(emb, 2), emb)
+        assert np.all(cols["delta_e_phys"] == 0.0)
+        assert np.all(cols["delta_m_phys"] == 0.0)
+        assert np.all(cols["delta_e_logical"] == 0.0)
+        assert np.all(cols["delta_m_logical"] == 0.0)
+        assert np.all(cols["hc_violations"] == 0)
+
+    def test_columns_are_tile_major_and_typed(self):
+        emb = build_full_embedding(8)
+        cols = decode_samples(synthesize_samples(emb, 3), emb)
+        assert list(cols) == list(DECODED_COLUMNS)
+        assert np.array_equal(cols["tile"], np.repeat(np.arange(16), 3))
+        assert np.array_equal(cols["run"], np.tile(np.arange(3), 16))
+        assert cols["tile"].dtype == cols["hc_violations"].dtype == np.int64
+        assert cols["delta_e_phys"].dtype == np.float64
+        assert cols["excluded"].dtype == bool
 
     def test_single_bulk_flip(self):
         emb = build_embedding(4)  # single tile at origin, j_ising = 0.5
         ss = synthesize_samples(emb, 1)
         vals = flip_logical(ss.values, emb, (1, 1))  # bulk site: 4 bonds
-        rows = decode_samples(SampleSet(values=vals), emb)
-        assert len(rows) == 1
-        r = rows[0]
-        assert r.delta_e_phys == pytest.approx(4.0)   # 4 bonds * 2 * 0.5
-        assert r.delta_e_logical == pytest.approx(4.0)
-        assert r.delta_m_logical == pytest.approx(2.0)
-        assert r.delta_m_phys == pytest.approx(4.0)
-        assert r.hc_violations == 0
+        cols = decode_samples(SampleSet(values=vals), emb)
+        assert len(cols["tile"]) == 1
+        assert cols["delta_e_phys"][0] == pytest.approx(4.0)  # 4 bonds * 2 * 0.5
+        assert cols["delta_e_logical"][0] == pytest.approx(4.0)
+        assert cols["delta_m_logical"][0] == pytest.approx(2.0)
+        assert cols["delta_m_phys"][0] == pytest.approx(4.0)
+        assert cols["hc_violations"][0] == 0
 
     def test_hc_violation_and_tie_rule(self):
         emb = build_embedding(4)
@@ -237,10 +296,10 @@ class TestDecode:
         q_low = min(emb.pairs[site])
         vals = ss.values.copy()
         vals[0, q_low] = -1  # violate the pair; lower index carries the tie
-        rows = decode_samples(SampleSet(values=vals), emb)
-        assert rows[0].hc_violations == 1
+        cols = decode_samples(SampleSet(values=vals), emb)
+        assert cols["hc_violations"][0] == 1
         # logical spin flipped: same bond damage as a full logical flip
-        assert rows[0].delta_m_logical == pytest.approx(2.0)
+        assert cols["delta_m_logical"][0] == pytest.approx(2.0)
 
     def test_record_length_mismatch_rejected(self):
         with pytest.raises(SchemaError):
@@ -256,35 +315,58 @@ class TestDecode:
         bare = SampleSet(values=ss.values.copy())
         decode_samples(bare, other)
 
+    @pytest.mark.parametrize("L, seed", [(2, 0), (3, 1), (4, 2), (8, 3),
+                                         (10, 4), (16, 5), (32, 6)])
+    def test_matches_the_tile_by_tile_reference(self, tmp_path, L, seed):
+        rng = np.random.default_rng(seed)
+        defects = DefectList(qubits=set(rng.integers(0, N_QUBITS, 12)))
+        emb = build_embedding(L, 0.4, defects, tile_partition(L))
+        emb = gauge_transform(emb, {s: int(rng.choice((-1, 1)))
+                                    for s in emb.pairs
+                                    if s not in emb.vacancies})
+        cpath, mpath = tmp_path / "c.txt", tmp_path / "m.json"
+        write_coupler_list(cpath, emb)
+        write_logical_map(mpath, emb)
+        samples = SampleSet(values=np.where(
+            rng.random((9, N_QUBITS)) < 0.3, -1, 1).astype(np.int8))
+        for decoded_emb in (emb, read_embedding(cpath, mpath)):
+            for threshold in (0.0, 0.05):
+                got = decode_samples(samples, decoded_emb, threshold)
+                want = reference_decode(samples, decoded_emb, threshold)
+                for name in DECODED_COLUMNS:
+                    assert got[name].dtype == want[name].dtype
+                    assert np.array_equal(got[name].view(np.uint8),
+                                          want[name].view(np.uint8)), name
+
     def test_vacancy_threshold_flags_tiles(self):
         emb0 = build_embedding(2)
         qubits = {q for s in [(0, 0)] for q in emb0.pairs[s]}
         emb = build_embedding(2, defects=DefectList(qubits=qubits))
-        rows = decode_samples(synthesize_samples(emb, 1), emb,
+        cols = decode_samples(synthesize_samples(emb, 1), emb,
                               vacancy_threshold=0.05)
-        assert rows[0].excluded  # 1/4 vacancies > 5%
+        assert cols["excluded"][0]  # 1/4 vacancies > 5%
 
 
 class TestAggregate:
     def test_single_measurement_has_missing_error(self):
         emb = build_embedding(4)
-        rows = decode_samples(synthesize_samples(emb, 1), emb)
-        agg = aggregate_tiles(rows, L=4, v=1.0)
+        cols = decode_samples(synthesize_samples(emb, 1), emb)
+        agg = aggregate_tiles(cols, L=4, v=1.0)
         assert agg["n_real"] == 1
         assert np.isnan(agg["delta_e_phys_stderr"])
 
     def test_identical_runs_have_zero_error(self):
         emb = build_embedding(4)
-        rows = decode_samples(synthesize_samples(emb, 2), emb)
-        agg = aggregate_tiles(rows, L=4, v=1.0)
+        cols = decode_samples(synthesize_samples(emb, 2), emb)
+        agg = aggregate_tiles(cols, L=4, v=1.0)
         assert agg["delta_e_phys_stderr"] == 0.0
 
     def test_bernoulli_generator_closed_form(self):
         q = 0.03
         emb = build_full_embedding(8)
         ss = synthesize_samples(emb, 40, flip_probability=q, seed=21)
-        rows = decode_samples(ss, emb)
-        agg = aggregate_tiles(rows, L=8, v=1.0)
+        cols = decode_samples(ss, emb)
+        agg = aggregate_tiles(cols, L=8, v=1.0)
         n = 64
         # exact E[N - |N - 2K|], K ~ Binomial(n, q)
         k = np.arange(n + 1)
@@ -299,10 +381,10 @@ class TestAggregate:
 
     def test_all_excluded_raises(self):
         emb = build_embedding(4)
-        rows = decode_samples(synthesize_samples(emb, 1), emb,
+        cols = decode_samples(synthesize_samples(emb, 1), emb,
                               vacancy_threshold=-1.0)
         with pytest.raises(ParameterError):
-            aggregate_tiles(rows, L=4, v=1.0)
+            aggregate_tiles(cols, L=4, v=1.0)
 
 
 class TestFileFormats:
@@ -316,6 +398,16 @@ class TestFileFormats:
         assert back.pairs == emb.pairs
         assert back.vacancies == emb.vacancies
         assert back.bonds == emb.bonds
+
+    def test_read_back_digest_matches_the_couplers(self, tmp_path):
+        emb = gauge_transform(build_full_embedding(4, j_ising=0.4),
+                              checkerboard_gauge(build_full_embedding(4)))
+        cpath, mpath = tmp_path / "c.txt", tmp_path / "m.json"
+        write_coupler_list(cpath, emb)
+        write_logical_map(mpath, emb)
+        back = read_embedding(cpath, mpath)
+        assert back.digest == emb.coupler_digest()
+        assert replace(back, digest=None).coupler_digest() == back.digest
 
     def test_round_trip_after_gauge(self, tmp_path):
         emb = gauge_transform(build_embedding(4),

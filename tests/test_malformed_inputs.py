@@ -9,22 +9,23 @@ import dataclasses
 import json
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from annealkit import cli
 from annealkit.analysis import rescaled_rows
-from annealkit.chimera import (N_QUBITS, SAMPLES_MAGIC, build_embedding,
-                               read_coupler_list, read_embedding,
-                               read_samples, synthesize_samples,
-                               write_samples)
+from annealkit.chimera import (DECODED_COLUMNS, N_QUBITS, SAMPLES_MAGIC,
+                               build_embedding, read_coupler_list,
+                               read_decoded, read_embedding, read_samples,
+                               synthesize_samples, write_samples)
 from annealkit.config import _SCHEMA, validate_config
 from annealkit.ensemble import SweepPlan
 from annealkit.errors import ConfigError, ParameterError, SchemaError
 from annealkit.noise import NoiseSpectrum
 from annealkit.qubit import QubitRun
-from annealkit.tables import read_table
+from annealkit.tables import append_row, read_table
 
 
 def write_config(tmp_path, doc):
@@ -59,6 +60,20 @@ def run_decode(tmp_path, capsys, files):
     cfg = write_config(tmp_path, {"output_dir": str(tmp_path),
                                   "decode": files})
     assert_clean_exit(capsys, ["decode", "--config", cfg])
+
+
+def decoded_table(tmp_path, files):
+    """Decode the valid device files; returns the decoded table's path."""
+    cfg = write_config(tmp_path, {"output_dir": str(tmp_path),
+                                  "decode": files})
+    assert cli.main(["decode", "--config", cfg]) == 0
+    return tmp_path / "decoded.tsv"
+
+
+def run_aggregate(tmp_path, capsys, path):
+    cfg = write_config(tmp_path, {"output_dir": str(tmp_path),
+                                  "aggregate": {"input": str(path)}})
+    assert_clean_exit(capsys, ["aggregate", "--config", cfg])
 
 
 class TestMalformedFilesExitCleanly:
@@ -142,8 +157,41 @@ class TestMalformedFilesExitCleanly:
         run_decode(tmp_path, capsys, dict(device_files, couplers=str(couplers),
                                           logical_map=str(logical_map)))
 
-    @pytest.mark.parametrize("value", ["abc", [1], True],
-                             ids=["text", "list", "bool"])
+    @pytest.mark.parametrize("extra", ["0 4 -1.0\n", "4 0 -1.0\n",
+                                       "0 5 -0.25\n", "5 0 -0.25\n"],
+                             ids=["high_cost", "high_cost_reversed", "bond",
+                                  "bond_reversed"])
+    def test_coupler_listed_twice(self, tmp_path, capsys, device_files,
+                                  extra):
+        path = tmp_path / "emb.couplers.txt"
+        assert "\n0 4 -1.0\n" in path.read_text()
+        assert "\n0 5 -0.25\n" in path.read_text()
+        path.write_text(path.read_text() + extra)
+        with pytest.raises(SchemaError, match="twice"):
+            read_embedding(path, device_files["logical_map"])
+        run_decode(tmp_path, capsys, device_files)
+
+    def test_coupler_joining_a_qubit_to_itself(self, tmp_path, capsys,
+                                               device_files):
+        path = tmp_path / "emb.couplers.txt"
+        path.write_text(path.read_text() + "4 4 -1.0\n")
+        with pytest.raises(SchemaError, match="itself"):
+            read_coupler_list(path)
+        run_decode(tmp_path, capsys, device_files)
+
+    def test_qubit_of_two_sites(self, tmp_path, capsys, device_files):
+        path = tmp_path / "emb.map.json"
+        doc = json.loads(path.read_text())
+        doc["sites"][1]["qubits"][0] = doc["sites"][0]["qubits"][0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="belongs to sites"):
+            read_embedding(device_files["couplers"], path)
+        run_decode(tmp_path, capsys, device_files)
+
+    @pytest.mark.parametrize("value", [
+        "abc", [1], True, -3.0, 0.0, float("inf"), float("nan"), 10 ** 400,
+    ], ids=["text", "list", "bool", "negative", "zero", "inf", "nan",
+            "huge_int"])
     def test_sample_annealing_time_not_real(self, tmp_path, capsys,
                                             device_files, value):
         path = tmp_path / "samples.txt.meta.json"
@@ -156,20 +204,107 @@ class TestMalformedFilesExitCleanly:
     @pytest.mark.parametrize("header, replacement", [
         ("tile_side", ""), ("tile_side", "# tile_side: 4.5\n"),
         ("annealing_time", ""), ("annealing_time", "# annealing_time: abc\n"),
+        ("annealing_time", "# annealing_time: -3.0\n"),
+        ("annealing_time", "# annealing_time: 0.0\n"),
+        ("annealing_time", "# annealing_time: -0.0\n"),
+        ("annealing_time", "# annealing_time: inf\n"),
     ], ids=["no_tile_side", "fractional_tile_side", "no_annealing_time",
-            "annealing_time_text"])
+            "annealing_time_text", "annealing_time_negative",
+            "annealing_time_zero", "annealing_time_negative_zero",
+            "annealing_time_inf"])
     def test_decoded_table_header(self, tmp_path, capsys, device_files,
                                   header, replacement):
-        cfg = write_config(tmp_path, {"output_dir": str(tmp_path),
-                                      "decode": device_files})
-        assert cli.main(["decode", "--config", cfg]) == 0
-        path = tmp_path / "decoded.tsv"
+        path = decoded_table(tmp_path, device_files)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(replacement if line.startswith(f"# {header}:")
                                 else line for line in lines))
+        run_aggregate(tmp_path, capsys, path)
+        assert not (tmp_path / "device_curve.tsv").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda cols: cols[:-1],
+        lambda cols: [cols[1], cols[0]] + cols[2:],
+        lambda cols: cols[:2] + [cols[3], cols[2]] + cols[4:],
+    ], ids=["missing_last_column", "tile_run_swapped",
+            "observables_swapped"])
+    def test_decoded_table_columns(self, tmp_path, capsys, device_files,
+                                   edit):
+        path = decoded_table(tmp_path, device_files)
+        lines = path.read_text().splitlines()
+        header = lines.index(" ".join(DECODED_COLUMNS))
+        for i in range(header, len(lines)):
+            lines[i] = " ".join(edit(lines[i].split()))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match="columns"):
+            read_decoded(path)
+        run_aggregate(tmp_path, capsys, path)
+
+    @pytest.mark.parametrize("column, value", [
+        (0, "-1"), (0, "0.5"), (1, "-2"), (1, "nan"), (6, "1.5"),
+        (6, "-1"), (6, "inf"), (7, "2"), (7, "0.5"), (7, "-1"),
+    ])
+    def test_decoded_table_cell_domain(self, tmp_path, capsys, device_files,
+                                       column, value):
+        path = decoded_table(tmp_path, device_files)
+        lines = path.read_text().splitlines()
+        cells = lines[-1].split()
+        cells[column] = value
+        lines[-1] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError):
+            read_decoded(path)
+        run_aggregate(tmp_path, capsys, path)
+
+    def test_decoded_annealing_time_missing_gives_nan_velocity(
+            self, tmp_path, capsys, device_files):
+        meta = tmp_path / "samples.txt.meta.json"
+        doc = json.loads(meta.read_text())
+        del doc["annealing_time"]
+        meta.write_text(json.dumps(doc))
+        path = decoded_table(tmp_path, device_files)
+        assert "# annealing_time: nan\n" in path.read_text()
         cfg = write_config(tmp_path, {"output_dir": str(tmp_path),
                                       "aggregate": {"input": str(path)}})
+        assert cli.main(["aggregate", "--config", cfg]) == 0
+        assert np.isnan(read_table(tmp_path / "device_curve.tsv")["v"][0])
+
+    def test_aggregate_refuses_a_foreign_output_table(self, tmp_path, capsys,
+                                                      device_files):
+        path = decoded_table(tmp_path, device_files)
+        curve = tmp_path / "curve.tsv"
+        curve.write_text("# schema: ensemble-curve/1\n"
+                         "L v delta_e_mean delta_e_stderr n_real n_bins\n"
+                         "4 0.1 0.5 0.01 10 5\n")
+        before = curve.read_bytes()
+        cfg = write_config(tmp_path, {"output_dir": str(tmp_path),
+                                      "aggregate": {"input": str(path),
+                                                    "output": "curve.tsv"}})
         assert_clean_exit(capsys, ["aggregate", "--config", cfg])
+        assert curve.read_bytes() == before
+        assert len(read_table(curve)) == 1
+
+    @pytest.mark.parametrize("content", [
+        "# schema: other/1\na b\n1 2\n",
+        "# schema: x/1\nb a\n1 2\n",
+        "a b\n1 2\n",
+        "# schema: x/1\n",
+        "# schema: x/1\na b c\n1 2 3\n",
+    ], ids=["other_schema", "other_columns", "no_schema", "no_column_line",
+            "extra_column"])
+    def test_append_row_refuses_a_foreign_table(self, tmp_path, content):
+        path = tmp_path / "t.tsv"
+        path.write_text(content)
+        with pytest.raises(SchemaError):
+            append_row(path, ("a", "b"), (3, 4.5), {"schema": "x/1"})
+        assert path.read_text() == content
+
+    def test_append_row_extends_its_own_table(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        for row in ((1, 2.5), (3, 4.5)):
+            append_row(path, ("a", "b"), row,
+                       {"schema": "x/1", "config_digest": "abc"})
+        assert path.read_text() == ("# schema: x/1\n# config_digest: abc\n"
+                                    "a b\n1 2.5\n3 4.5\n")
 
     @pytest.mark.parametrize("content", ["[1, 2]", "{broken", "\udcff"],
                              ids=["not_an_object", "bad_json", "non_utf8"])
