@@ -18,16 +18,32 @@ Broken qubits or couplers turn the touched logical sites into vacancies:
 every coupler touching either member qubit is omitted, and vacancies are
 excluded from all statistics.
 
+An Embedding is a set of columns.  Its sites, placement-major and
+row-major within a tile, are the arrays `x`, `y`, `tile` (the tile id),
+`qubits` ((n, 2): vertical-shore, then horizontal-shore qubit) and
+`vacancy`.  Its couplers, sorted by qubit pair, are `couplers` ((m, 2),
+q1 < q2), `values` and `ends` (the site index of each qubit).  A
+coupler whose two ends are one site is that site's high-cost coupler;
+every other coupler belongs to the bond between its two sites.
+`build_embedding`, `read_embedding` and `gauge_transform` give this
+layout, so an embedding read back from its two documents equals the one
+built, array for array.
+
 The device-data path is columnar.  `read_samples` parses a text sample
-file with one numpy call; `decode_samples` returns a dict of arrays
+file with one numpy call; `decode_samples` groups sites and couplers by
+tile straight from the embedding's arrays and returns a dict of arrays
 named by DECODED_COLUMNS, one entry per tile-run, which `write_table`
 writes column by column; `read_decoded` reads such a table back and
 `aggregate_tiles` takes its columns by name.  Malformed inputs raise
 SchemaError: a decoded table whose column line is not DECODED_COLUMNS,
 whose tile, run or hc_violations is not a non-negative integer or whose
 excluded flag is not 0 or 1; an annealing time that is present but not
-positive and finite; a qubit claimed by two sites; a coupler listed
-twice or joining a qubit to itself.
+positive and finite; a coupler listed twice, joining a qubit to itself
+or with a value that is not finite; a logical map whose tile_side is
+not in [2, 32], that places a tile twice or beyond the grid, or whose
+sites repeat an (x, y), name a tile that is not a placement, lie
+outside their tile's L x L window or leave it incomplete; a qubit
+claimed by two sites.
 """
 
 from __future__ import annotations
@@ -36,7 +52,9 @@ import hashlib
 import os
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 import warnings
 
@@ -75,37 +93,29 @@ def qubit_index(row: int, col: int, k: int) -> int:
     return CELL * (GRID * row + col) + k
 
 
-def cell_pattern(row: int, col: int) -> str:
-    """Checkerboard wiring label of a cell."""
-    return "A" if (row + col) % 2 == 0 else "B"
+def physical_pair(x, y) -> tuple:
+    """(vertical-shore qubit, horizontal-shore qubit) of logical site
+    (x, y); x and y may be ints or int arrays.
 
-
-def physical_pair(x: int, y: int) -> tuple:
-    """(vertical-shore qubit, horizontal-shore qubit) of logical site (x, y)."""
+    Cells alternate two wirings in a checkerboard.  Wiring A (row + col
+    even) puts the site's qubits at k = dx + 2 dy on both shores; wiring
+    B mirrors dy on the vertical shore and dx on the horizontal one.
+    """
     row, col = y // 2, x // 2
-    dx, dy = x % 2, y % 2
-    if cell_pattern(row, col) == "A":
-        kv = dx + 2 * dy
-        kh = dx + 2 * dy
-    else:
-        kv = dx + 2 * (1 - dy)
-        kh = (1 - dx) + 2 * dy
-    return qubit_index(row, col, kv), qubit_index(row, col, 4 + kh)
+    dx, dy, b = x % 2, y % 2, (row + col) % 2
+    return (qubit_index(row, col, dx + 2 * (dy ^ b)),
+            qubit_index(row, col, 4 + (dx ^ b) + 2 * dy))
 
 
-def chimera_edge_exists(q1: int, q2: int) -> bool:
-    """Whether (q1, q2) is a coupler of the target graph."""
-    c1, k1 = divmod(q1, CELL)
-    c2, k2 = divmod(q2, CELL)
-    r1, col1 = divmod(c1, GRID)
-    r2, col2 = divmod(c2, GRID)
-    if c1 == c2:
-        return (k1 < 4) != (k2 < 4)
-    if k1 != k2:
-        return False
-    if k1 < 4:
-        return col1 == col2 and abs(r1 - r2) == 1
-    return r1 == r2 and abs(col1 - col2) == 1
+def chimera_edge_exists(q1, q2):
+    """Whether (q1, q2) is a coupler of the target graph; q1 and q2 may
+    be ints or int arrays."""
+    (c1, k1), (c2, k2) = divmod(q1, CELL), divmod(q2, CELL)
+    (r1, col1), (r2, col2) = divmod(c1, GRID), divmod(c2, GRID)
+    same_k = k1 == k2
+    return (((c1 == c2) & ((k1 < 4) != (k2 < 4)))
+            | (same_k & (k1 < 4) & (col1 == col2) & (abs(r1 - r2) == 1))
+            | (same_k & (k1 >= 4) & (r1 == r2) & (abs(col1 - col2) == 1)))
 
 
 @dataclass(frozen=True)
@@ -156,63 +166,102 @@ def tile_partition(L: int) -> list:
             for ty in range(n) for tx in range(n)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Embedding:
-    """Full programming of the target graph for tiles of side L."""
+    """Full programming of the target graph for tiles of side L, as
+    site and coupler columns (see the module docstring)."""
 
     L: int
     j_ising: float
     j_hc: float
     placements: tuple
-    pairs: dict          # site (x, y) -> (q_vertical, q_horizontal)
-    site_tile: dict      # site -> tile_id
-    vacancies: frozenset
-    hc_couplers: dict    # site -> (q1, q2, value); non-vacancy sites only
-    bonds: dict          # (site_a, site_b) -> tuple of (q1, q2, value)
-    # coupler_digest() as computed from the coupler list read back by
-    # read_embedding; None makes coupler_digest() compute it
-    digest: Optional[str] = None
+    x: np.ndarray         # (n,) int64
+    y: np.ndarray         # (n,) int64
+    tile: np.ndarray      # (n,) int64 tile id
+    qubits: np.ndarray    # (n, 2) int64 (q_vertical, q_horizontal)
+    vacancy: np.ndarray   # (n,) bool
+    couplers: np.ndarray  # (m, 2) int64, q1 < q2, rows sorted
+    values: np.ndarray    # (m,) float64
+    ends: np.ndarray      # (m, 2) int64 site index of each qubit
 
-    def active_sites(self, tile_id: Optional[int] = None):
-        out = [s for s in self.pairs if s not in self.vacancies]
+    def active_sites(self, tile_id: Optional[int] = None) -> list:
+        """Sorted (x, y) of the non-vacancy sites, of one tile if given."""
+        keep = ~self.vacancy
         if tile_id is not None:
-            out = [s for s in out if self.site_tile[s] == tile_id]
-        return sorted(out)
+            keep &= self.tile == tile_id
+        return sorted(zip(self.x[keep].tolist(), self.y[keep].tolist()))
 
     def coupler_list(self) -> list:
         """All programmed couplers as sorted (q1, q2, value) rows."""
-        rows = {}
-        for q1, q2, val in self.hc_couplers.values():
-            key = (min(q1, q2), max(q1, q2))
-            rows[key] = val
-        for cs in self.bonds.values():
-            for q1, q2, val in cs:
-                key = (min(q1, q2), max(q1, q2))
-                if key in rows:
-                    raise ParameterError(f"duplicate coupler {key}")
-                rows[key] = val
-        return [(q1, q2, rows[(q1, q2)]) for q1, q2 in sorted(rows)]
+        return list(zip(*self.couplers.T.tolist(), self.values.tolist()))
 
     def census(self) -> dict:
         """Counts by coupler role: high-cost, intra-cell bond, inter-cell bond."""
-        n_intra = sum(len(c) for c in self.bonds.values() if len(c) == 2)
-        n_inter = sum(len(c) for c in self.bonds.values() if len(c) == 1)
-        return {"hc": len(self.hc_couplers), "intra": n_intra, "inter": n_inter}
+        bonds, starts = _bonds(self, _site_rank(self))
+        sizes = np.diff(starts, append=len(bonds))
+        return {"hc": len(self.values) - len(bonds),
+                "intra": int(sizes[sizes == 2].sum()),
+                "inter": int(sizes[sizes == 1].sum())}
 
     def coupler_digest(self) -> str:
         """Fingerprint of the programmed couplers; stamped into sample
         metadata so decoding against the wrong embedding is caught."""
-        return self.digest or _digest(self.coupler_list())
+        text = _coupler_text(self.couplers, self.values)
+        return hashlib.sha256(text[:-1].encode()).hexdigest()[:16]
 
 
-def _digest(rows) -> str:
-    """Fingerprint of sorted (q1, q2, value) coupler rows, q1 < q2."""
-    blob = "\n".join(f"{q1} {q2} {val!r}" for q1, q2, val in rows)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+def _coupler_text(couplers, values) -> str:
+    """'q1 q2 J' lines of coupler rows, J written with repr; each
+    distinct value (bit pattern) is formatted once."""
+    bits, where = np.unique(np.ascontiguousarray(values, dtype=np.float64)
+                            .view(np.uint64), return_inverse=True)
+    words = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                     dtype=object)
+    cells = np.empty((len(where), 3), dtype=object)
+    cells[:, :2] = couplers
+    cells[:, 2] = words[where]
+    return "%d %d %s\n" * len(cells) % tuple(cells.ravel().tolist())
 
 
-def _in_same_cell(s1, s2) -> bool:
-    return (s1[0] // 2, s1[1] // 2) == (s2[0] // 2, s2[1] // 2)
+def _site_rank(emb: Embedding) -> np.ndarray:
+    """Placement index of each site's tile."""
+    rank = {t.tile_id: i for i, t in enumerate(emb.placements)}
+    return np.fromiter(map(rank.__getitem__, emb.tile.tolist()), np.int64,
+                       len(emb.tile))
+
+
+def _bonds(emb: Embedding, rank) -> tuple:
+    """(index, starts): the bond couplers grouped by bond, and where
+    each bond starts in them.  Bonds are in placement order of their
+    tile and, within a tile, in order of their first coupler; a bond's
+    couplers keep their (sorted) order."""
+    index = np.flatnonzero(emb.ends[:, 0] != emb.ends[:, 1])
+    ends = np.sort(emb.ends[index], axis=1)
+    _, first, inverse = np.unique(ends[:, 0] * len(emb.x) + ends[:, 1],
+                                  return_index=True, return_inverse=True)
+    first = first[inverse]
+    order = np.lexsort((first, rank[ends[:, 0]]))
+    return index[order], np.flatnonzero(np.diff(first[order], prepend=-1))
+
+
+def _sorted_couplers(couplers, values) -> tuple:
+    """(couplers, values, repeated): the rows with q1 < q2 in sorted
+    order, their values, and the index of each row equal to the one
+    before it."""
+    q1 = np.minimum(couplers[:, 0], couplers[:, 1])
+    q2 = np.maximum(couplers[:, 0], couplers[:, 1])
+    key = q1 * N_QUBITS + q2
+    order = np.argsort(key, kind="stable")   # linear on sorted lists
+    key = key[order]
+    return (np.stack((q1[order], q2[order]), axis=1), values[order],
+            np.flatnonzero(key[1:] == key[:-1]))
+
+
+def _owner(qubits) -> np.ndarray:
+    """Site index of every chip qubit, -1 for qubits of no site."""
+    owner = np.full(N_QUBITS, -1, dtype=np.int64)
+    owner[qubits] = np.arange(len(qubits))[:, None]
+    return owner
 
 
 def build_embedding(L: int, j_ising: float = 0.5,
@@ -233,57 +282,57 @@ def build_embedding(L: int, j_ising: float = 0.5,
     defects = defects or DefectList()
     if placements is None:
         placements = [TilePlacement(0, 0, 0)]
-    touched = defects.touched_qubits()
-
-    pairs, site_tile = {}, {}
-    vacancies = set()
+    placements = tuple(placements)
     for tile in placements:
-        if tile.x0 + L > LOGICAL_SIDE or tile.y0 + L > LOGICAL_SIDE:
+        if not (0 <= tile.x0 <= LOGICAL_SIDE - L
+                and 0 <= tile.y0 <= LOGICAL_SIDE - L):
             raise ParameterError(f"tile {tile} overflows the logical grid")
-        for y in range(tile.y0, tile.y0 + L):
-            for x in range(tile.x0, tile.x0 + L):
-                site = (x, y)
-                if site in pairs:
-                    raise ParameterError(f"overlapping tiles at {site}")
-                pairs[site] = physical_pair(x, y)
-                site_tile[site] = tile.tile_id
-                if set(pairs[site]) & touched:
-                    vacancies.add(site)
 
-    hc = {site: (qv, qh, -j_hc)
-          for site, (qv, qh) in pairs.items() if site not in vacancies}
+    # sites, placement-major and row-major within a tile
+    dy, dx = np.divmod(np.tile(np.arange(L * L), len(placements)), L)
+    tile, x0, y0 = np.array(placements, dtype=np.int64).reshape(-1, 3) \
+        .repeat(L * L, axis=0).T
+    x, y = x0 + dx, y0 + dy
+    counts = np.bincount(x * LOGICAL_SIDE + y, minlength=1)
+    if counts.max() > 1:
+        raise ParameterError(f"overlapping tiles at "
+                             f"{divmod(int(counts.argmax()), LOGICAL_SIDE)}")
+    qubits = np.stack(physical_pair(x, y), axis=1)
+    touched = np.zeros(N_QUBITS, dtype=bool)
+    touched[np.fromiter(defects.touched_qubits(), np.int64)] = True
+    vacancy = touched[qubits].any(axis=1)
 
-    bonds = {}
-    for tile in placements:
-        for y in range(tile.y0, tile.y0 + L):
-            for x in range(tile.x0, tile.x0 + L):
-                s1 = (x, y)
-                for s2 in ((x + 1, y), (x, y + 1)):
-                    if s2[0] >= tile.x0 + L or s2[1] >= tile.y0 + L:
-                        continue
-                    if s1 in vacancies or s2 in vacancies:
-                        continue
-                    qv1, qh1 = pairs[s1]
-                    qv2, qh2 = pairs[s2]
-                    if _in_same_cell(s1, s2):
-                        cs = ((qv1, qh2, -j_ising / 2.0),
-                              (qv2, qh1, -j_ising / 2.0))
-                    elif s2[0] > s1[0]:      # horizontal crossing
-                        cs = ((qh1, qh2, -j_ising),)
-                    else:                    # vertical crossing
-                        cs = ((qv1, qv2, -j_ising),)
-                    for q1, q2, _ in cs:
-                        if not chimera_edge_exists(q1, q2):
-                            raise ParameterError(
-                                f"internal wiring error: ({q1},{q2}) is not an edge")
-                    bonds[(s1, s2)] = tuple(sorted(cs))
-
-    emb = Embedding(L=L, j_ising=j_ising, j_hc=j_hc,
-                    placements=tuple(placements), pairs=pairs,
-                    site_tile=site_tile, vacancies=frozenset(vacancies),
-                    hc_couplers=hc, bonds=bonds)
-    emb.coupler_list()  # audits duplicates
-    return emb
+    # bonds to the right and downward neighbour inside the tile, between
+    # non-vacancy sites: two parallel couplers inside a cell, the one
+    # same-k coupler across cells
+    site = np.arange(len(x))
+    s1 = np.concatenate((site[dx < L - 1], site[dy < L - 1]))
+    s2 = np.concatenate((site[dx < L - 1] + 1, site[dy < L - 1] + L))
+    live = ~vacancy[s1] & ~vacancy[s2]
+    s1, s2 = s1[live], s2[live]
+    across = y[s1] == y[s2]                       # horizontal bond
+    inner = np.where(across, x[s1] % 2 == 0, y[s1] % 2 == 0)
+    shore = np.where(across, 1, 0)[~inner]        # shore of the crossing
+    p1, p2 = qubits[s1[inner]], qubits[s2[inner]]
+    couplers = np.concatenate((
+        qubits[~vacancy],                                     # high-cost
+        np.stack((p1[:, 0], p2[:, 1]), axis=1),
+        np.stack((p2[:, 0], p1[:, 1]), axis=1),
+        np.stack((qubits[s1[~inner], shore], qubits[s2[~inner], shore]),
+                 axis=1)))
+    values = np.concatenate((np.full(np.count_nonzero(~vacancy), -j_hc),
+                             np.full(2 * np.count_nonzero(inner),
+                                     -j_ising / 2.0),
+                             np.full(np.count_nonzero(~inner), -j_ising)))
+    if not np.all(chimera_edge_exists(couplers[:, 0], couplers[:, 1])):
+        raise ParameterError("internal wiring error: a coupler is not an edge")
+    couplers, values, repeated = _sorted_couplers(couplers, values)
+    if len(repeated):
+        raise ParameterError(f"duplicate coupler {couplers[repeated[0]]}")
+    return Embedding(L=L, j_ising=j_ising, j_hc=j_hc, placements=placements,
+                     x=x, y=y, tile=tile, qubits=qubits, vacancy=vacancy,
+                     couplers=couplers, values=values,
+                     ends=_owner(qubits)[couplers])
 
 
 def build_full_embedding(L: int, j_ising: float = 0.5,
@@ -293,36 +342,27 @@ def build_full_embedding(L: int, j_ising: float = 0.5,
     return build_embedding(L, j_ising, defects, tile_partition(L), j_hc)
 
 
-def gauge_transform(emb: Embedding, gauge: dict) -> Embedding:
-    """Flip coupler signs by J -> J g_a g_b; high-cost couplers unchanged.
+def gauge_transform(emb: Embedding, gauge) -> Embedding:
+    """Flip coupler signs by J -> J g_a g_b.
 
-    gauge maps every non-vacancy site to +1 or -1.  The classical
-    spectrum of each tile is preserved.
+    gauge holds +1 or -1 for every site, in the embedding's site order;
+    entries at vacancies are not read.  A high-cost coupler's two ends
+    are one site, so it keeps its sign.  The classical spectrum of each
+    tile is preserved.
     """
-    g = {}
-    for site in emb.pairs:
-        if site in emb.vacancies:
-            continue
-        if site not in gauge:
-            raise ParameterError(f"gauge value missing for site {site}")
-        val = int(gauge[site])
-        if val not in (-1, 1):
-            raise ParameterError("gauge values must be +1 or -1")
-        g[site] = val
-    bonds = {}
-    for (s1, s2), cs in emb.bonds.items():
-        f = g[s1] * g[s2]
-        bonds[(s1, s2)] = tuple((q1, q2, val * f) for q1, q2, val in cs)
-    return Embedding(L=emb.L, j_ising=emb.j_ising, j_hc=emb.j_hc,
-                     placements=emb.placements, pairs=dict(emb.pairs),
-                     site_tile=dict(emb.site_tile), vacancies=emb.vacancies,
-                     hc_couplers=dict(emb.hc_couplers), bonds=bonds)
+    g = np.asarray(gauge)
+    if g.shape != emb.x.shape:
+        raise ParameterError(f"gauge must hold one value for each of the "
+                             f"{len(emb.x)} sites, got shape {g.shape}")
+    if not np.all(np.isin(g[~emb.vacancy], (-1, 1))):
+        raise ParameterError("gauge values must be +1 or -1")
+    same = g[emb.ends[:, 0]] == g[emb.ends[:, 1]]
+    return replace(emb, values=emb.values * np.where(same, 1.0, -1.0))
 
 
-def checkerboard_gauge(emb: Embedding) -> dict:
-    """The ferromagnet <-> antiferromagnet relabeling."""
-    return {(x, y): (1 if (x + y) % 2 == 0 else -1)
-            for (x, y) in emb.pairs if (x, y) not in emb.vacancies}
+def checkerboard_gauge(emb: Embedding) -> np.ndarray:
+    """The ferromagnet <-> antiferromagnet relabeling, one value per site."""
+    return np.where((emb.x + emb.y) % 2 == 0, 1, -1)
 
 
 @dataclass
@@ -368,45 +408,35 @@ def decode_samples(samples: SampleSet, emb: Embedding,
             raise SchemaError(
                 f"sample set was taken with couplers {recorded}, but the "
                 f"embedding programs {programmed}")
-    # one pass over the sites and one over the bonds, grouped by tile
-    n_sites, active, couplers, bonds = {}, {}, {}, {}
-    for site in sorted(emb.pairs):
-        tile = emb.site_tile[site]
-        n_sites[tile] = n_sites.get(tile, 0) + 1
-        if site not in emb.vacancies:
-            active.setdefault(tile, []).append(site)
-    for (s1, s2), cs in emb.bonds.items():
-        tile = emb.site_tile[s1]
-        couplers.setdefault(tile, []).extend(cs)
-        bonds.setdefault(tile, []).append((s1, s2, len(cs)))
-
-    n_runs = samples.n_runs
-    tile_ids = [tile.tile_id for tile in emb.placements]
-    size = len(tile_ids) * n_runs
-    out = {"tile": np.repeat(np.array(tile_ids, dtype=np.int64), n_runs),
-           "run": np.tile(np.arange(n_runs, dtype=np.int64), len(tile_ids))}
+    rank = _site_rank(emb)
+    n_tiles, n_runs = len(emb.placements), samples.n_runs
+    tile_ids = np.array([tile.tile_id for tile in emb.placements],
+                        dtype=np.int64)
+    size = n_tiles * n_runs
+    out = {"tile": np.repeat(tile_ids, n_runs),
+           "run": np.tile(np.arange(n_runs, dtype=np.int64), n_tiles)}
     for name in DECODED_COLUMNS[2:6]:
         out[name] = np.full(size, np.nan)
     out["hc_violations"] = np.zeros(size, dtype=np.int64)
     out["excluded"] = np.ones(size, dtype=bool)   # tiles without sites
-    live = [tile for tile in tile_ids if tile in active]
-    if not live:
+    # the non-vacancy sites grouped by tile, tiles in placement order
+    active = np.flatnonzero(~emb.vacancy)
+    active = active[np.argsort(rank[active], kind="stable")]
+    counts = np.bincount(rank[active], minlength=n_tiles)
+    live = np.flatnonzero(counts)
+    if not len(live):
         return out
-    rows = np.repeat([tile in active for tile in tile_ids], n_runs)
-    counts = np.array([len(active[tile]) for tile in live])
+    rows = np.repeat(counts > 0, n_runs)
+    n_sites = np.bincount(rank, minlength=n_tiles)[live]
+    counts = counts[live]
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    vacancy_fraction = [(n_sites[tile] - len(active[tile])) / n_sites[tile]
-                        for tile in live]
     out["excluded"][rows] = np.repeat(
-        np.array(vacancy_fraction) > vacancy_threshold, n_runs)
+        (n_sites - counts) / n_sites > vacancy_threshold, n_runs)
 
     # every live site's spins as rows of a (sites, runs) array; the
     # integer observables are per-tile sums of its row blocks
     spins = np.ascontiguousarray(samples.values.T)
-    sites = [site for tile in live for site in active[tile]]
-    row_of = {site: i for i, site in enumerate(sites)}
-    qv = np.array([emb.pairs[s][0] for s in sites])
-    qh = np.array([emb.pairs[s][1] for s in sites])
+    qv, qh = emb.qubits[active].T
     sv, sh = spins[qv], spins[qh]
     agree = sv == sh
     logical = np.where(agree, sv, spins[np.minimum(qv, qh)])  # tie rule
@@ -415,10 +445,27 @@ def decode_samples(samples: SampleSet, emb: Embedding,
         return np.add.reduceat(x, starts, axis=0, dtype=np.int64)
 
     out["delta_m_phys"][rows] = \
-        (2 * counts[:, None] - np.abs(tile_sums(sv) + tile_sums(sh))).ravel()
+        (2 * counts[:, None] - np.abs(tile_sums(sv + sh))).ravel()
     out["delta_m_logical"][rows] = \
         (counts[:, None] - np.abs(tile_sums(logical))).ravel()
     out["hc_violations"][rows] = tile_sums(~agree).ravel()
+
+    # the bond couplers tile by tile, each tile's bonds in order of their
+    # first coupler and a bond's couplers sorted, and per bond the sum of
+    # its couplers and the product of its two logical spins
+    index, bond_starts = _bonds(emb, rank)
+    cq, cj = emb.couplers[index], emb.values[index]
+    abs_cj = np.abs(cj)
+    products = spins[cq[:, 0]] * spins[cq[:, 1]]
+    row_of = np.zeros(len(emb.x), dtype=np.int64)
+    row_of[active] = np.arange(len(active))
+    bond_ends = row_of[emb.ends[index[bond_starts]]]
+    bond_products = logical[bond_ends[:, 0]] * logical[bond_ends[:, 1]]
+    bj = np.add.reduceat(cj, bond_starts) if len(cj) else cj
+    abs_bj = np.abs(bj)
+    tiles = np.arange(n_tiles + 1)
+    c_edge = np.searchsorted(rank[emb.ends[index, 0]], tiles)
+    b_edge = np.searchsorted(rank[emb.ends[index[bond_starts], 0]], tiles)
 
     # energies tile by tile, each one matrix-vector product of the
     # tile's (runs, couplers) products held column-major: BLAS picks its
@@ -426,16 +473,12 @@ def decode_samples(samples: SampleSet, emb: Embedding,
     e_phys = np.zeros((len(live), n_runs))
     e_log = np.zeros((len(live), n_runs))
     for k, tile in enumerate(live):
-        if tile not in couplers:
+        c = slice(c_edge[tile], c_edge[tile + 1])
+        b = slice(b_edge[tile], b_edge[tile + 1])
+        if c.start == c.stop:
             continue
-        cq1, cq2, cj = map(np.array, zip(*couplers[tile]))
-        products = (spins[cq1] * spins[cq2]).T.astype(float)
-        e_phys[k] = products @ cj + np.abs(cj).sum()
-        s1, s2, sizes = zip(*bonds[tile])
-        bj = np.add.reduceat(cj, np.cumsum((0,) + sizes[:-1]))  # per bond
-        products = (logical[[row_of[s] for s in s1]]
-                    * logical[[row_of[s] for s in s2]])
-        e_log[k] = products.T.astype(float) @ bj + np.abs(bj).sum()
+        e_phys[k] = products[c].T.astype(float) @ cj[c] + abs_cj[c].sum()
+        e_log[k] = bond_products[b].T.astype(float) @ bj[b] + abs_bj[b].sum()
     out["delta_e_phys"][rows] = e_phys.ravel()
     out["delta_e_logical"][rows] = e_log.ravel()
     return out
@@ -475,15 +518,12 @@ def synthesize_samples(emb: Embedding, n_runs: int, flip_probability: float = 0.
         raise ParameterError("flip_probability must be in [0, 0.5)")
     rng = stream(seed, "synthetic-samples")
     vals = np.ones((n_runs, N_QUBITS), dtype=np.int8)
-    sites = [s for s in emb.pairs if s not in emb.vacancies]
-    if sites and flip_probability > 0.0:
-        qv = np.array([emb.pairs[s][0] for s in sites])
-        qh = np.array([emb.pairs[s][1] for s in sites])
-        flips = rng.random((n_runs, len(sites))) < flip_probability
+    qv, qh = emb.qubits[~emb.vacancy].T    # in the embedding's site order
+    if len(qv) and flip_probability > 0.0:
+        flips = rng.random((n_runs, len(qv))) < flip_probability
         spin = np.where(flips, -1, 1).astype(np.int8)
-        for r in range(n_runs):
-            vals[r, qv] = spin[r]
-            vals[r, qh] = spin[r]
+        vals[:, qv] = spin
+        vals[:, qh] = spin
     meta = {"generator": "bernoulli-logical-flips",
             "flip_probability": flip_probability, "seed": seed,
             "annealing_time": annealing_time,
@@ -503,14 +543,13 @@ def write_coupler_list(path, emb: Embedding) -> None:
         fh.write(f"# j_ising: {emb.j_ising!r}\n")
         fh.write(f"# j_hc: {emb.j_hc!r}\n")
         fh.write("q1 q2 J\n")
-        for q1, q2, val in emb.coupler_list():
-            fh.write(f"{q1} {q2} {val!r}\n")
+        fh.write(_coupler_text(emb.couplers, emb.values))
 
 
 def _coupler_arrays(path) -> tuple:
     """(metadata, qubits, values) of a coupler-list document: qubits is
     an (n, 2) int64 array holding two different qubit indices of the chip
-    per coupler, values the n coupler values."""
+    per coupler, values the n coupler values, each finite."""
     table = read_table(path)
     if table.meta.get("schema") != COUPLER_SCHEMA:
         raise SchemaError(f"{path} is not a {COUPLER_SCHEMA} document")
@@ -523,7 +562,10 @@ def _coupler_arrays(path) -> tuple:
                           f"integer in [0, {N_QUBITS})")
     if np.any(qubits[:, 0] == qubits[:, 1]):
         raise SchemaError(f"{path}: a coupler joins a qubit to itself")
-    return table.meta, qubits.astype(np.int64), table.data[:, 2]
+    values = table.data[:, 2]
+    if not np.all(np.isfinite(values)):
+        raise SchemaError(f"{path}: a coupler value is not finite")
+    return table.meta, qubits.astype(np.int64), values
 
 
 def read_coupler_list(path):
@@ -534,6 +576,9 @@ def read_coupler_list(path):
 
 
 def write_logical_map(path, emb: Embedding) -> None:
+    order = np.lexsort((emb.y, emb.x))     # sites by (x, y)
+    columns = (emb.x, emb.y, emb.tile, emb.qubits[:, 0], emb.qubits[:, 1],
+               emb.vacancy)
     doc = {
         "schema": LOGICAL_MAP_SCHEMA,
         "generated_by": f"annealkit {__version__}",
@@ -542,85 +587,162 @@ def write_logical_map(path, emb: Embedding) -> None:
         "j_hc": emb.j_hc,
         "placements": [[t.tile_id, t.x0, t.y0] for t in emb.placements],
         "sites": [
-            {"x": x, "y": y, "tile": emb.site_tile[(x, y)],
-             "qubits": list(emb.pairs[(x, y)]),
-             "vacancy": (x, y) in emb.vacancies}
-            for (x, y) in sorted(emb.pairs)
+            {"x": x, "y": y, "tile": tile, "qubits": [qv, qh],
+             "vacancy": vacancy}
+            for x, y, tile, qv, qh, vacancy in zip(
+                *(column[order].tolist() for column in columns))
         ],
     }
     write_document(path, doc)
 
 
-def _int_list(value, length: int, bound: Optional[int]) -> bool:
-    """Whether value is a list of `length` ints, each in [0, bound) if given."""
-    return isinstance(value, list) and len(value) == length and all(
-        isinstance(q, int) and not isinstance(q, bool)
-        and (bound is None or 0 <= q < bound) for q in value)
+def _lists_of(values, length: int) -> bool:
+    """Whether every one of values is a list of `length` entries."""
+    return set(map(type, values)) <= {list} and \
+        set(map(len, values)) <= {length}
+
+
+def _int_column(values, low: int, high: int, what: str) -> np.ndarray:
+    """values as an int64 array; each must be an int in [low, high)."""
+    if not set(map(type, values)) <= {int} or \
+            (values and not (low <= min(values) and max(values) < high)):
+        raise SchemaError(f"{what} must be ints in [{low}, {high})")
+    return np.array(values, dtype=np.int64)
+
+
+_SITE_KEYS = ("x", "y", "tile", "qubits", "vacancy")
+
+
+def _site(x, y, i) -> tuple:
+    """(x, y) of site i, as ints for messages."""
+    return int(x[i]), int(y[i])
+
+
+def _site_columns(entries, where: str) -> tuple:
+    """(x, y, tile ids, qubits, vacancy) of the site entries: x, y and
+    the (n, 2) qubits as int64 arrays, the tile ids as a tuple of ints
+    (checked against the placements by the caller) and vacancy as a
+    bool array."""
+    if not set(map(type, entries)) <= {dict}:
+        raise SchemaError(f"{where}: a site entry is not a JSON object")
+    try:
+        columns = list(zip(*map(itemgetter(*_SITE_KEYS), entries)))
+    except KeyError as exc:
+        raise SchemaError(f"{where}: a site entry lacks {exc.args[0]!r}") \
+            from None
+    x, y, tile, qubits, vacancy = columns or [()] * len(_SITE_KEYS)
+    if not set(map(type, tile)) <= {int}:
+        raise SchemaError(f"{where}: a site's 'tile' is not an int")
+    if not set(map(type, vacancy)) <= {bool}:
+        raise SchemaError(f"{where}: a site's 'vacancy' is not a bool")
+    if not _lists_of(qubits, 2):
+        raise SchemaError(f"{where}: a site's 'qubits' is not a list of two "
+                          f"qubit indices")
+    return (_int_column(x, 0, LOGICAL_SIDE, f"{where}: site x"),
+            _int_column(y, 0, LOGICAL_SIDE, f"{where}: site y"), tile,
+            _int_column(list(chain.from_iterable(qubits)), 0, N_QUBITS,
+                        f"{where}: site qubits").reshape(-1, 2),
+            np.array(vacancy, dtype=bool))
 
 
 def read_embedding(coupler_path, map_path) -> Embedding:
     """Rebuild an Embedding from its two emitted documents.
 
-    Every qubit belongs to at most one site, and every coupler is listed
-    once and joins two qubits of non-vacancy sites of one tile; anything
-    else raises SchemaError.
+    The tile side is in [2, 32]; each placement names a distinct tile
+    whose L x L window lies on the logical grid; the sites fill those
+    windows, each (x, y) once and inside its tile's window; every qubit
+    belongs to at most one site; every coupler is listed once and joins
+    two qubits of non-vacancy sites of one tile.  Anything else raises
+    SchemaError.  The checks are array operations over all sites and
+    couplers at once.
     """
-    _, qubits, values = _coupler_arrays(coupler_path)
     doc = require_fields(read_document(map_path, LOGICAL_MAP_SCHEMA),
                          {"tile_side": int, "j_ising": float, "j_hc": float,
                           "placements": list, "sites": list}, str(map_path))
-    if not all(_int_list(p, 3, None) for p in doc["placements"]):
+    L = doc["tile_side"]
+    if not 2 <= L <= LOGICAL_SIDE:
+        raise SchemaError(f"{map_path}: tile_side {L} is not in "
+                          f"[2, {LOGICAL_SIDE}]")
+    placements = doc["placements"]
+    if not _lists_of(placements, 3):
         raise SchemaError(f"{map_path}: a placement is not [tile, x0, y0]")
-    site_fields = {"x": int, "y": int, "tile": int, "qubits": list,
-                   "vacancy": bool}
-    where = f"{map_path} site entry"
-    pairs, site_tile, vacancies, owner = {}, {}, set(), {}
-    for entry in doc["sites"]:
-        require_fields(entry, site_fields, where)
-        pair = entry["qubits"]
-        if not _int_list(pair, 2, N_QUBITS):
-            raise SchemaError(f"{map_path}: site qubits {pair} "
-                              f"are not two qubit indices")
-        site = (entry["x"], entry["y"])
-        for q in pair:
-            if q in owner:
-                raise SchemaError(f"{map_path}: qubit {q} belongs to sites "
-                                  f"{owner[q]} and {site}")
-            owner[q] = site
-        pairs[site] = tuple(pair)
-        site_tile[site] = entry["tile"]
-        if entry["vacancy"]:
-            vacancies.add(site)
-    hc, bond_map = {}, {}
-    for q1, q2, val in zip(*qubits.T.tolist(), values.tolist()):
-        s1, s2 = owner.get(q1), owner.get(q2)
-        if s1 is None or s2 is None or s1 in vacancies or s2 in vacancies:
-            raise SchemaError(f"coupler ({q1}, {q2}) touches a qubit that no "
-                              f"site of {map_path} owns")
-        if s1 == s2:      # the two qubits of one site
-            hc[s1] = (*pairs[s1], val)
-            continue
-        if site_tile[s1] != site_tile[s2]:
-            raise SchemaError(f"coupler ({q1}, {q2}) joins sites of tiles "
-                              f"{site_tile[s1]} and {site_tile[s2]}")
-        bond = (s1, s2) if (s1 < s2) else (s2, s1)
-        bond_map.setdefault(bond, []).append((q1, q2, val))
-    bonds = {bond: tuple(sorted(cs)) for bond, cs in bond_map.items()}
-    # the couplers as coupler_list() orders them, for the digest
-    key = np.sort(qubits, axis=1)
-    order = np.lexsort((key[:, 1], key[:, 0]))
-    key = key[order]
-    repeated = np.flatnonzero(np.all(key[1:] == key[:-1], axis=1))
+    ids = _int_column([p[0] for p in placements], 0, 2 ** 63,
+                      f"{map_path}: tile ids")
+    corner = _int_column([c for p in placements for c in p[1:]], 0,
+                         LOGICAL_SIDE - L + 1, f"{map_path}: with tile_side "
+                         f"{L}, placement corners").reshape(-1, 2)
+    rank_of = {tile: i for i, tile in enumerate(ids.tolist())}
+    if len(rank_of) < len(ids):
+        placed, times = np.unique(ids, return_counts=True)
+        raise SchemaError(f"{map_path}: tile {placed[times.argmax()]} is "
+                          f"placed twice")
+
+    x, y, tile, qubits, vacancy = _site_columns(doc["sites"],
+                                                f"{map_path} site entry")
+    unknown = set(tile).difference(rank_of)
+    if unknown:
+        i = tile.index(min(unknown))
+        raise SchemaError(f"{map_path}: site {_site(x, y, i)} names tile "
+                          f"{tile[i]}, which is not a placement")
+    rank = np.fromiter(map(rank_of.__getitem__, tile), np.int64, len(tile))
+    x0, y0 = corner[rank].T
+    outside = np.flatnonzero((x < x0) | (x >= x0 + L) | (y < y0)
+                             | (y >= y0 + L))
+    if len(outside):
+        i = outside[0]
+        raise SchemaError(f"{map_path}: site {_site(x, y, i)} lies outside "
+                          f"the {L}x{L} window of its tile {tile[i]}")
+    repeats = np.bincount(x * LOGICAL_SIDE + y, minlength=1)
+    if repeats.max() > 1:
+        raise SchemaError(f"{map_path}: site "
+                          f"{divmod(int(repeats.argmax()), LOGICAL_SIDE)} "
+                          f"is listed twice")
+    filled = np.bincount(rank, minlength=len(ids))
+    if np.any(filled != L * L):
+        short = np.argmax(filled != L * L)
+        raise SchemaError(f"{map_path}: tile {ids[short]} has "
+                          f"{filled[short]} sites, not {L * L}")
+    claims = np.bincount(qubits.ravel(), minlength=N_QUBITS)
+    if claims.max() > 1:
+        q = int(claims.argmax())
+        holders = np.flatnonzero(np.any(qubits == q, axis=1))
+        raise SchemaError(f"{map_path}: qubit {q} belongs to sites "
+                          f"{_site(x, y, holders[0])} and "
+                          f"{_site(x, y, holders[-1])}")
+    # sites placement-major and row-major within a tile, as built
+    order = np.lexsort((x, y, rank))
+    x, y, qubits, vacancy = x[order], y[order], qubits[order], vacancy[order]
+    tile = ids[rank[order]]
+    owner = _owner(qubits)
+
+    _, couplers, values = _coupler_arrays(coupler_path)
+    ends = owner[couplers]
+    # a qubit of no site has owner -1, which reads the appended False
+    unowned = ~np.all(np.append(~vacancy, False)[ends], axis=1)
+    if unowned.any():
+        q1, q2 = couplers[np.argmax(unowned)].tolist()
+        raise SchemaError(f"coupler ({q1}, {q2}) touches a qubit that no "
+                          f"non-vacancy site of {map_path} owns")
+    across = np.flatnonzero(tile[ends[:, 0]] != tile[ends[:, 1]])
+    if len(across):
+        (q1, q2), (t1, t2) = couplers[across[0]].tolist(), \
+            tile[ends[across[0]]].tolist()
+        raise SchemaError(f"coupler ({q1}, {q2}) joins sites of tiles "
+                          f"{t1} and {t2}")
+    couplers, values, repeated = _sorted_couplers(couplers, values)
     if len(repeated):
         raise SchemaError(f"{coupler_path}: coupler "
-                          f"{tuple(key[repeated[0]].tolist())} is listed twice")
-    return Embedding(L=doc["tile_side"], j_ising=doc["j_ising"],
-                     j_hc=doc["j_hc"],
-                     placements=tuple(TilePlacement(*p) for p in doc["placements"]),
-                     pairs=pairs, site_tile=site_tile,
-                     vacancies=frozenset(vacancies), hc_couplers=hc,
-                     bonds=bonds, digest=_digest(
-                         zip(*key.T.tolist(), values[order].tolist())))
+                          f"{tuple(couplers[repeated[0]].tolist())} is "
+                          f"listed twice")
+    return Embedding(L=L, j_ising=doc["j_ising"], j_hc=doc["j_hc"],
+                     placements=tuple(TilePlacement(*p) for p in placements),
+                     x=x, y=y, tile=tile, qubits=qubits, vacancy=vacancy,
+                     couplers=couplers, values=values, ends=owner[couplers])
+
+
+# runs formatted per write of a text sample file: bounds the words held
+# in memory at once
+_WRITE_RUNS = 16
 
 
 def write_samples(path, samples: SampleSet, fmt: str = "text") -> None:
@@ -629,8 +751,13 @@ def write_samples(path, samples: SampleSet, fmt: str = "text") -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# schema: {SAMPLES_TEXT_SCHEMA}\n")
             fh.write(f"# n_qubits: {N_QUBITS}\n")
-            for row in samples.values:
-                fh.write(" ".join(str(int(x)) for x in row) + "\n")
+            # every value is -1 or +1: one of two words, looked up a
+            # block of runs at a time
+            words = np.array(["-1", "1"], dtype=object)
+            for start in range(0, samples.n_runs, _WRITE_RUNS):
+                block = samples.values[start:start + _WRITE_RUNS] > 0
+                fh.writelines(" ".join(run) + "\n"
+                              for run in words[block.view(np.int8)].tolist())
     elif fmt == "binary":
         with open(path, "wb") as fh:
             fh.write(SAMPLES_MAGIC)

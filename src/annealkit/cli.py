@@ -1,14 +1,16 @@
 """Command-line entry point.
 
-Verbs: simulate, qubit, fit, collapse, kzm, embed, decode, aggregate,
-oracle-check.  A JSON configuration file drives each verb; --set
-key=value flags override individual keys, and --output-dir, --workers
-and --master-seed override the root keys of the same names.  The
-simulate and qubit sections pass straight to SweepPlan and QubitRun,
-which own their defaults.
+Verbs (the VERBS table): simulate, qubit, fit, collapse, kzm, embed,
+decode, aggregate, oracle-check.  A JSON configuration file drives each
+verb; --set key=value flags override individual keys, and --output-dir,
+--workers and --master-seed override the root keys of the same names.
+Every verb takes these same options, so one parser with a verb argument
+reads them all.  The simulate and qubit sections pass straight to
+SweepPlan and QubitRun, which own their defaults.
 
 Exit codes: 0 success, 1 configuration error or unreadable input,
-2 numerical failure, 3 partial results.
+2 numerical failure or a command-line usage error (such as an unknown
+verb), 3 partial results.
 """
 
 from __future__ import annotations
@@ -272,7 +274,8 @@ def cmd_embed(args) -> int:
     census = emb.census()
     print(f"wrote {cpath} and {mpath}")
     print(f"couplers: {census['hc']} high-cost, {census['intra']} intra-cell, "
-          f"{census['inter']} inter-cell; {len(emb.vacancies)} vacancies")
+          f"{census['inter']} inter-cell; {np.count_nonzero(emb.vacancy)} "
+          f"vacancies")
     return EXIT_OK
 
 
@@ -366,42 +369,48 @@ def cmd_oracle_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# verb -> (function, one-line help)
+VERBS = {
+    "simulate": (cmd_simulate, "run an (L, v) residual-energy sweep"),
+    "qubit": (cmd_qubit, "single-qubit purity curve and coherence time"),
+    "fit": (cmd_fit, "two-power-law fit of a curve table"),
+    "collapse": (cmd_collapse, "rescale data onto the master curve"),
+    "kzm": (cmd_kzm, "critical-exponent predictions"),
+    "embed": (cmd_embed, "emit Chimera coupler list and logical map"),
+    "decode": (cmd_decode, "decode measurement samples into tile stats"),
+    "aggregate": (cmd_aggregate, "average decoded tiles with binned errors"),
+    "oracle-check": (cmd_oracle_check,
+                     "cross-check the fermion route against dense "
+                     "diagonalization"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every verb: they all take the same options."""
+    width = max(map(len, VERBS))
     parser = argparse.ArgumentParser(
         prog="annealkit",
-        description="Quantum-annealing simulation and scaling-analysis toolkit")
+        description="Quantum-annealing simulation and scaling-analysis toolkit",
+        epilog="verbs:\n" + "\n".join(f"  {name:<{width}}  {help_text}"
+                                      for name, (_, help_text) in VERBS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version",
                         version=f"annealkit {__version__}")
-    sub = parser.add_subparsers(dest="verb", required=True)
-    verbs = {
-        "simulate": (cmd_simulate, "run an (L, v) residual-energy sweep"),
-        "qubit": (cmd_qubit, "single-qubit purity curve and coherence time"),
-        "fit": (cmd_fit, "two-power-law fit of a curve table"),
-        "collapse": (cmd_collapse, "rescale data onto the master curve"),
-        "kzm": (cmd_kzm, "critical-exponent predictions"),
-        "embed": (cmd_embed, "emit Chimera coupler list and logical map"),
-        "decode": (cmd_decode, "decode measurement samples into tile stats"),
-        "aggregate": (cmd_aggregate, "average decoded tiles with binned errors"),
-        "oracle-check": (cmd_oracle_check,
-                         "cross-check the fermion route against dense "
-                         "diagonalization"),
-    }
-    for name, (func, help_text) in verbs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config key (dotted path, JSON value)")
-        p.add_argument("--output-dir", help="directory for output files")
-        p.add_argument("--workers", type=int, help="worker process count")
-        p.add_argument("--master-seed", type=int, help="master random seed")
-        p.set_defaults(func=func)
+    parser.add_argument("verb", choices=VERBS, metavar="verb",
+                        help="one of the verbs listed below")
+    parser.add_argument("--config", help="JSON configuration file")
+    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override a config key (dotted path, JSON value)")
+    parser.add_argument("--output-dir", help="directory for output files")
+    parser.add_argument("--workers", type=int, help="worker process count")
+    parser.add_argument("--master-seed", type=int, help="master random seed")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return VERBS[args.verb][0](args)
     except (ConfigError, SchemaError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -77,7 +77,7 @@ def append_row(path, columns: Sequence[str], row: Sequence,
     have_meta = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            _, have_columns = next(_records(fh, have_meta), (None, None))
+            have_columns, _ = _header(fh, have_meta)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
     schema = (meta or {}).get("schema")
@@ -117,10 +117,14 @@ class Table:
         return (tuple(r) for r in self.data)
 
 
-def _records(lines, meta: dict):
-    """(line, fields) of each line that is neither blank nor a comment;
-    the '# key: value' comment lines met on the way go into meta."""
+def _header(lines, meta: dict) -> tuple:
+    """(columns, count): the fields of the first line that is neither
+    blank nor a comment, and the number of lines up to and including
+    it; the '# key: value' comment lines before it go into meta.
+    columns is None when there is no such line."""
+    count = 0
     for line in lines:
+        count += 1
         fields = line.split()
         if not fields:
             continue
@@ -130,32 +134,40 @@ def _records(lines, meta: dict):
                 key, _, value = body.partition(":")
                 meta[key.strip()] = value.strip()
             continue
-        yield line, fields
+        return fields, count
+    return None, count
 
 
 def read_table(path) -> Table:
-    """Parse a table; malformed content raises SchemaError."""
+    """Parse a table; malformed content raises SchemaError.
+
+    The '# key: value' lines before the column line are the metadata.
+    The body after it is parsed by one numpy call, which skips blank
+    lines and everything from a '#' to the end of its line."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
     meta = {}
-    records = _records(text.split("\n"), meta)
-    _, columns = next(records, (None, None))
+    lines = text.split("\n")
+    columns, count = _header(lines, meta)
     if columns is None:
         raise SchemaError(f"{path} has no column header line")
-    body = []
-    for line, fields in records:
-        if len(fields) != len(columns):
-            raise SchemaError(f"row width {len(fields)} != header width "
-                              f"{len(columns)} in {path}")
-        body.append(line)
+    import warnings
+
     try:
-        data = (np.loadtxt(body, dtype=float, comments=None, ndmin=2) if body
-                else np.empty((0, len(columns))))
+        with warnings.catch_warnings():   # an empty body is no table error
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(lines[count:], dtype=float, comments="#",
+                              ndmin=2)
     except ValueError as exc:
-        raise SchemaError(f"non-numeric entry in {path}: {exc}") from None
+        raise SchemaError(f"malformed rows in {path}: {exc}") from None
+    if not len(data):
+        data = np.empty((0, len(columns)))
+    elif data.shape[1] != len(columns):
+        raise SchemaError(f"row width {data.shape[1]} != header width "
+                          f"{len(columns)} in {path}")
     return Table(meta, columns, data)
 
 

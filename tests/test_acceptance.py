@@ -292,7 +292,7 @@ class TestCriterion8EmbeddingAudit:
 
         emb3 = build_embedding(3)
         rng = np.random.default_rng(8)
-        gauge = {site: int(rng.choice((-1, 1))) for site in emb3.pairs}
+        gauge = np.array([int(rng.choice((-1, 1))) for _ in emb3.x])
         spec0 = _tile_spectrum(emb3)
         spec1 = _tile_spectrum(gauge_transform(emb3, gauge))
         gauge_ok = np.allclose(spec0, spec1)
@@ -316,9 +316,10 @@ def _tile_spectrum(emb):
     confs = 1 - 2 * ((np.arange(2 ** len(sites))[:, None]
                       >> np.arange(len(sites))) & 1)
     energy = np.zeros(2 ** len(sites))
-    for (s1, s2), couplers in emb.bonds.items():
-        for _, _, val in couplers:
-            energy += val * confs[:, pos[s1]] * confs[:, pos[s2]]
+    site = list(zip(emb.x.tolist(), emb.y.tolist()))
+    for val, (e1, e2) in zip(emb.values.tolist(), emb.ends.tolist()):
+        if e1 != e2:      # a bond coupler, not a high-cost one
+            energy += val * confs[:, pos[site[e1]]] * confs[:, pos[site[e2]]]
     return np.sort(energy)
 
 

@@ -1,9 +1,11 @@
 """Embedding construction, gauge symmetry, decoding, file round trips."""
 
-from dataclasses import replace
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from annealkit.chimera import (DECODED_COLUMNS, GRID, LOGICAL_SIDE,
@@ -20,6 +22,42 @@ from annealkit.chimera import (DECODED_COLUMNS, GRID, LOGICAL_SIDE,
 from annealkit.errors import ParameterError, SchemaError
 
 
+def site_index(emb, site):
+    """Index of logical site (x, y) in the embedding's site arrays."""
+    (i,) = np.flatnonzero((emb.x == site[0]) & (emb.y == site[1]))
+    return i
+
+
+def pair_of(emb, site):
+    return tuple(emb.qubits[site_index(emb, site)].tolist())
+
+
+def is_vacancy(emb, site):
+    return bool(emb.vacancy[site_index(emb, site)])
+
+
+def bond_mask(emb):
+    """Couplers between two different sites (not high-cost)."""
+    return emb.ends[:, 0] != emb.ends[:, 1]
+
+
+def bonds_of(emb):
+    """{(site_a, site_b): [(q1, q2, value), ...]} of the bond couplers,
+    bonds in order of their first coupler in the sorted coupler list."""
+    sites = list(zip(emb.x.tolist(), emb.y.tolist()))
+    bonds = {}
+    for (q1, q2, val), (e1, e2) in zip(emb.coupler_list(),
+                                        emb.ends.tolist()):
+        if e1 != e2:
+            key = tuple(sorted((sites[e1], sites[e2])))
+            bonds.setdefault(key, []).append((q1, q2, val))
+    return bonds
+
+
+def tile_of(emb, site):
+    return int(emb.tile[site_index(emb, site)])
+
+
 def logical_energies(emb, tile_id=0):
     """Exhaustive classical spectrum over the tile's bond couplers."""
     sites = emb.active_sites(tile_id)
@@ -27,17 +65,25 @@ def logical_energies(emb, tile_id=0):
     pos = {s: i for i, s in enumerate(sites)}
     confs = 1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
     energy = np.zeros(2 ** n)
-    for (s1, s2), couplers in emb.bonds.items():
-        if emb.site_tile[s1] != tile_id:
+    for (s1, s2), couplers in bonds_of(emb).items():
+        if tile_of(emb, s1) != tile_id:
             continue
         for _, _, val in couplers:
             energy += val * confs[:, pos[s1]] * confs[:, pos[s2]]
     return np.sort(energy)
 
 
+def random_gauge(emb, rng):
+    """+-1 for every non-vacancy site, drawn site by site; 1 at vacancies."""
+    gauge = np.ones(len(emb.x), dtype=int)
+    gauge[~emb.vacancy] = [int(rng.choice((-1, 1)))
+                           for _ in range(np.count_nonzero(~emb.vacancy))]
+    return gauge
+
+
 def flip_logical(values, emb, site):
     """Flip both member qubits of one logical site in a record array."""
-    q1, q2 = emb.pairs[site]
+    q1, q2 = pair_of(emb, site)
     values = values.copy()
     values[:, [q1, q2]] *= -1
     return values
@@ -86,7 +132,7 @@ class TestBuildEmbedding:
     def test_full_graph_census(self):
         emb = build_embedding(32)
         assert emb.census() == {"hc": 1024, "intra": 2048, "inter": 960}
-        assert len(emb.pairs) == 1024
+        assert len(emb.x) == 1024
         couplers = emb.coupler_list()
         assert len(couplers) == 4032
         assert all(abs(val) <= 1.0 for _, _, val in couplers)
@@ -95,12 +141,12 @@ class TestBuildEmbedding:
     def test_single_cell_tile(self):
         emb = build_embedding(2)
         assert emb.census() == {"hc": 4, "intra": 8, "inter": 0}
-        intra = [val for cs in emb.bonds.values() for _, _, val in cs]
+        intra = emb.values[bond_mask(emb)]
         assert np.allclose(intra, -0.25)  # -j_ising / 2 at the default 0.5
 
     def test_parallel_paths_sum_to_bond_strength(self):
         emb = build_embedding(32, j_ising=0.5)
-        for couplers in emb.bonds.values():
+        for couplers in bonds_of(emb).values():
             assert sum(abs(val) for _, _, val in couplers) == pytest.approx(0.5)
 
     def test_parameter_domains(self):
@@ -126,8 +172,8 @@ class TestTilePartition:
 
     def test_margin_sites_unused(self):
         emb = build_full_embedding(10)
-        assert len(emb.pairs) == 9 * 100
-        xs = {x for x, _ in emb.pairs}
+        assert len(emb.x) == 9 * 100
+        xs = set(emb.x.tolist())
         assert max(xs) == 29  # 2-wide margin left bare
         margin_qubits = {q for x in range(30, 32) for y in range(32)
                          for q in physical_pair(x, y)}
@@ -136,26 +182,27 @@ class TestTilePartition:
 
     def test_no_coupler_crosses_tile_boundaries(self):
         emb = build_full_embedding(8)
-        for (s1, s2) in emb.bonds:
-            assert emb.site_tile[s1] == emb.site_tile[s2]
+        for (s1, s2) in bonds_of(emb):
+            assert tile_of(emb, s1) == tile_of(emb, s2)
+        assert np.all(emb.tile[emb.ends[:, 0]] == emb.tile[emb.ends[:, 1]])
 
 
 class TestDefects:
     def test_vacancy_isolated(self):
         emb0 = build_embedding(32)
-        pair = emb0.pairs[(0, 0)]
+        pair = pair_of(emb0, (0, 0))
         emb = build_embedding(32, defects=DefectList(qubits={pair[0]}))
-        assert (0, 0) in emb.vacancies
+        assert is_vacancy(emb, (0, 0))
         for q1, q2, _ in emb.coupler_list():
             assert pair[0] not in (q1, q2)
             assert pair[1] not in (q1, q2)
 
     def test_broken_coupler_also_creates_vacancy(self):
         emb0 = build_embedding(32)
-        pair = emb0.pairs[(5, 7)]
+        pair = pair_of(emb0, (5, 7))
         emb = build_embedding(
             32, defects=DefectList(couplers={tuple(sorted(pair))}))
-        assert (5, 7) in emb.vacancies
+        assert is_vacancy(emb, (5, 7))
 
     def test_defects_never_add_couplers(self):
         base = len(build_embedding(16).coupler_list())
@@ -176,29 +223,29 @@ class TestDefects:
 class TestGauge:
     def test_identity_gauge(self):
         emb = build_embedding(4)
-        same = gauge_transform(emb, {s: 1 for s in emb.pairs})
+        same = gauge_transform(emb, np.ones(len(emb.x), dtype=int))
         assert same.coupler_list() == emb.coupler_list()
 
     def test_checkerboard_flips_all_bonds(self):
         emb = build_embedding(4)
         anti = gauge_transform(emb, checkerboard_gauge(emb))
-        for (s1, s2), couplers in anti.bonds.items():
+        for (s1, s2), couplers in bonds_of(anti).items():
             for _, _, val in couplers:
                 assert val > 0  # ferromagnet became antiferromagnet
-        hc_vals = [val for _, _, val in anti.hc_couplers.values()]
+        hc_vals = anti.values[~bond_mask(anti)]
         assert np.allclose(hc_vals, -emb.j_hc)  # high-cost untouched
 
     def test_spectrum_preserved_exhaustively(self):
         emb = build_embedding(3)
         rng = np.random.default_rng(3)
-        gauge = {s: int(rng.choice((-1, 1))) for s in emb.pairs}
+        gauge = random_gauge(emb, rng)
         transformed = gauge_transform(emb, gauge)
         assert np.allclose(logical_energies(emb), logical_energies(transformed))
 
     def test_ground_energy_preserved_brute_force_l4(self):
         emb = build_embedding(4)
         rng = np.random.default_rng(11)
-        gauge = {s: int(rng.choice((-1, 1))) for s in emb.pairs}
+        gauge = random_gauge(emb, rng)
         transformed = gauge_transform(emb, gauge)
         assert logical_energies(emb)[0] == pytest.approx(
             logical_energies(transformed)[0])
@@ -206,30 +253,33 @@ class TestGauge:
     def test_gauge_must_cover_sites(self):
         emb = build_embedding(2)
         with pytest.raises(ParameterError):
-            gauge_transform(emb, {})
+            gauge_transform(emb, np.ones(len(emb.x) - 1, dtype=int))
 
 
 def reference_decode(samples, emb, vacancy_threshold=0.05):
     """Tile-by-tile, run-by-run decode: the reference decode_samples must
     match bit for bit, since both sum each tile's energy in one
-    matrix-vector product over the same couplers in the same order."""
+    matrix-vector product over the same couplers in the same order: the
+    tile's bonds in order of their first coupler in the sorted coupler
+    list, each bond's couplers sorted."""
     vals = samples.values
     rows = []
+    bonds = bonds_of(emb)
     for tile in emb.placements:
         sites = emb.active_sites(tile.tile_id)
-        in_tile = [s for s in emb.pairs if emb.site_tile[s] == tile.tile_id]
+        in_tile = np.flatnonzero(emb.tile == tile.tile_id)
         if not sites:
             rows += [(tile.tile_id, run, np.nan, np.nan, np.nan, np.nan, 0,
                       True) for run in range(samples.n_runs)]
             continue
         excluded = (len(in_tile) - len(sites)) / len(in_tile) \
             > vacancy_threshold
-        qv = np.array([emb.pairs[s][0] for s in sites])
-        qh = np.array([emb.pairs[s][1] for s in sites])
+        qv = np.array([pair_of(emb, s)[0] for s in sites])
+        qh = np.array([pair_of(emb, s)[1] for s in sites])
         site_pos = {s: i for i, s in enumerate(sites)}
         cq1, cq2, cj, bq1, bq2, bj = [], [], [], [], [], []
-        for (s1, s2), cs in emb.bonds.items():
-            if emb.site_tile[s1] != tile.tile_id:
+        for (s1, s2), cs in bonds.items():
+            if tile_of(emb, s1) != tile.tile_id:
                 continue
             for q1, q2, val in cs:
                 cq1.append(q1)
@@ -293,7 +343,7 @@ class TestDecode:
         emb = build_embedding(4)
         ss = synthesize_samples(emb, 1)
         site = (2, 2)
-        q_low = min(emb.pairs[site])
+        q_low = min(pair_of(emb, site))
         vals = ss.values.copy()
         vals[0, q_low] = -1  # violate the pair; lower index carries the tie
         cols = decode_samples(SampleSet(values=vals), emb)
@@ -321,9 +371,7 @@ class TestDecode:
         rng = np.random.default_rng(seed)
         defects = DefectList(qubits=set(rng.integers(0, N_QUBITS, 12)))
         emb = build_embedding(L, 0.4, defects, tile_partition(L))
-        emb = gauge_transform(emb, {s: int(rng.choice((-1, 1)))
-                                    for s in emb.pairs
-                                    if s not in emb.vacancies})
+        emb = gauge_transform(emb, random_gauge(emb, rng))
         cpath, mpath = tmp_path / "c.txt", tmp_path / "m.json"
         write_coupler_list(cpath, emb)
         write_logical_map(mpath, emb)
@@ -340,7 +388,7 @@ class TestDecode:
 
     def test_vacancy_threshold_flags_tiles(self):
         emb0 = build_embedding(2)
-        qubits = {q for s in [(0, 0)] for q in emb0.pairs[s]}
+        qubits = set(pair_of(emb0, (0, 0)))
         emb = build_embedding(2, defects=DefectList(qubits=qubits))
         cols = decode_samples(synthesize_samples(emb, 1), emb,
                               vacancy_threshold=0.05)
@@ -395,9 +443,11 @@ class TestFileFormats:
         write_logical_map(mpath, emb)
         back = read_embedding(cpath, mpath)
         assert back.coupler_list() == emb.coupler_list()
-        assert back.pairs == emb.pairs
-        assert back.vacancies == emb.vacancies
-        assert back.bonds == emb.bonds
+        assert np.array_equal(back.x, emb.x) and np.array_equal(back.y, emb.y)
+        assert np.array_equal(back.qubits, emb.qubits)
+        assert np.array_equal(back.vacancy, emb.vacancy)
+        assert np.array_equal(back.ends, emb.ends)
+        assert bonds_of(back) == bonds_of(emb)
 
     def test_read_back_digest_matches_the_couplers(self, tmp_path):
         emb = gauge_transform(build_full_embedding(4, j_ising=0.4),
@@ -406,8 +456,12 @@ class TestFileFormats:
         write_coupler_list(cpath, emb)
         write_logical_map(mpath, emb)
         back = read_embedding(cpath, mpath)
-        assert back.digest == emb.coupler_digest()
-        assert replace(back, digest=None).coupler_digest() == back.digest
+        assert back.coupler_digest() == emb.coupler_digest()
+        # the digest is that of the file's 'q1 q2 J' rows, J with repr
+        _, rows = read_coupler_list(cpath)
+        blob = "\n".join(f"{q1} {q2} {val!r}" for q1, q2, val in sorted(rows))
+        assert back.coupler_digest() == \
+            hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def test_round_trip_after_gauge(self, tmp_path):
         emb = gauge_transform(build_embedding(4),
@@ -440,3 +494,40 @@ class TestFileFormats:
         write_samples(path, ss, fmt="binary")
         back = read_samples(path)
         assert np.array_equal(back.values, ss.values)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(L=st.sampled_from([2, 3, 4, 5, 8, 10, 16, 32]), tiled=st.booleans(),
+       j_ising=st.sampled_from([0.5, 0.4, 1 / 3, 1.0]),
+       defect_qubits=st.sets(st.integers(0, N_QUBITS - 1), max_size=12),
+       defect_sites=st.sets(st.tuples(st.integers(0, LOGICAL_SIDE - 1),
+                                      st.integers(0, LOGICAL_SIDE - 1)),
+                            max_size=3),
+       gauge_seed=st.one_of(st.none(), st.integers(0, 2 ** 32 - 1)))
+def test_read_back_gives_the_built_arrays(tmp_path_factory, L, tiled,
+                                          j_ising, defect_qubits,
+                                          defect_sites, gauge_seed):
+    """Writing an embedding and reading it back gives the built site and
+    coupler arrays, with random defect qubits, broken high-cost couplers
+    and gauges."""
+    defects = DefectList(qubits=defect_qubits, couplers={
+        tuple(sorted(physical_pair(x, y))) for x, y in defect_sites})
+    placements = tile_partition(L) if tiled and L <= 16 else None
+    emb = build_embedding(L, j_ising, defects, placements)
+    if gauge_seed is not None:
+        emb = gauge_transform(emb, random_gauge(
+            emb, np.random.default_rng(gauge_seed)))
+    directory = tmp_path_factory.mktemp("round_trip")
+    cpath, mpath = directory / "c.txt", directory / "m.json"
+    write_coupler_list(cpath, emb)
+    write_logical_map(mpath, emb)
+    back = read_embedding(cpath, mpath)
+    assert (back.L, back.j_ising, back.j_hc, back.placements) == \
+        (emb.L, emb.j_ising, emb.j_hc, emb.placements)
+    for name in ("x", "y", "tile", "qubits", "vacancy", "couplers", "values",
+                 "ends"):
+        built, read = getattr(emb, name), getattr(back, name)
+        assert read.dtype == built.dtype, name
+        assert np.array_equal(read, built), name
+    assert back.coupler_digest() == emb.coupler_digest()
+    assert back.census() == emb.census()

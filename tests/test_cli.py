@@ -286,6 +286,46 @@ class TestFitVerbs:
         assert np.all(resc["g"][near_min] < 1.35)
 
 
+class TestVerbDispatch:
+    def test_unknown_or_missing_verb_exits_2(self, capsys):
+        for argv in (["bogus"], [], ["--config", "x.json"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", list(cli.VERBS))
+    def test_each_verb_reaches_its_command(self, monkeypatch, verb):
+        func, help_text = cli.VERBS[verb]
+        assert func is getattr(cli, "cmd_" + verb.replace("-", "_"))
+        seen = []
+        monkeypatch.setitem(cli.VERBS, verb,
+                            (lambda args: seen.append(args) or 7, help_text))
+        assert cli.main(["--output-dir", "out", verb, "--set", "a=1",
+                         "--workers", "2", "--master-seed", "5"]) == 7
+        (args,) = seen
+        assert (args.verb, args.output_dir, args.set, args.workers,
+                args.master_seed, args.config) == \
+            (verb, "out", ["a=1"], 2, 5, None)
+
+    def test_help_lists_every_verb_and_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for verb, (_, help_text) in cli.VERBS.items():
+            assert f"  {verb} " in out and help_text in " ".join(out.split())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("annealkit ")
+
+    def test_verb_errors_keep_their_exit_codes(self, tmp_path, capsys):
+        assert cli.main(["fit", "--config", str(tmp_path / "none.json")]) \
+            == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestEmbedDecodeAggregate:
     def test_embed_one_cell_enumeration(self, tmp_path):
         cfg = write_config(tmp_path, {

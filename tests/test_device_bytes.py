@@ -6,7 +6,9 @@ out), for text and binary sample files of the same records.  The
 inputs have an excluded tile, a vacancy in a kept tile, high-cost
 violations and a checkerboard-gauged j_ising = 0.4 embedding, whose
 coupler values are not exact binary fractions, so any change in the
-order of a sum shows.
+order of a sum shows.  Further digests pin the coupler list and logical
+map written by `embed` (the `generated_by` version line left out) and
+the sample files written by `write_samples`.
 """
 
 import hashlib
@@ -19,9 +21,9 @@ from hypothesis import strategies as st
 
 from annealkit import cli
 from annealkit.chimera import (DECODED_COLUMNS, DefectList, SampleSet,
-                               build_embedding, checkerboard_gauge,
-                               decode_samples, gauge_transform,
-                               physical_pair, read_samples,
+                               build_embedding, build_full_embedding,
+                               checkerboard_gauge, decode_samples,
+                               gauge_transform, physical_pair, read_samples,
                                synthesize_samples, tile_partition,
                                write_samples)
 from annealkit.tables import read_table, write_table
@@ -137,3 +139,82 @@ def test_text_and_binary_files_decode_to_identical_columns(tmp_path_factory,
     for name in DECODED_COLUMNS:
         assert text[name].dtype == binary[name].dtype
         assert np.array_equal(text[name], binary[name], equal_nan=True)
+
+
+EMBED_DEFECTS = {"qubits": [3, 17, 130, 900, 1500, 2047],
+                 "couplers": [[40, 44], [264, 268]]}
+
+GOLDEN_EMBED = {
+    # (L, variant): (coupler list, logical map), sha256 without the
+    # generated_by line
+    (4, "plain"): (
+        "33f16a980dc2b0e87d7372620594404fc2895d18baa8797fdc92dcb9092e44fe",
+        "d17b5cfacaf39f9da60c593cdddf46b22fc018c6622382ea0d196c0ac59e256b"),
+    (4, "gauged"): (
+        "ef6ad30e4b4ac71bf3dd9a50736d701add62964c9bfa3d842542bb4de456be05",
+        "9dd90fa3a4db9706e66c5a671ebc043a58f8020911a80d59c994ee8023923ba5"),
+    (8, "plain"): (
+        "5a305fc9429071e0552254a91ebf4db992e7ca855edbb20cf57e390ee0c95080",
+        "72e9a9db8d78d170c9f6b61882ac1019d73c9646a867a31e011f2af93686b33d"),
+    (8, "gauged"): (
+        "66db0137759566a0b7b2737a78da4f83c97cb6fc7a7be6567790f500abc4ca8f",
+        "8c979d9002bc1dd2d1daf3d8b11f998fa342d8749baeddea9750ae101fc2af73"),
+    (16, "plain"): (
+        "f0b7cc467628644944d669805c1cc1e6a1ddce5d2656928638eac926c3b04350",
+        "f77367d760ba0c6c93fb90e22c4afd8476d2bc0c40c1cee9e104fa0308b9cfc8"),
+    (16, "gauged"): (
+        "1373d573e624c90a8065ed33e53c9eb1d9a868e0956f69858b962547ee83fb1a",
+        "eb0e9c929113cd1bd8bf679258d5391a1bda298447a3009c8e37efcc79827df0"),
+}
+
+
+def _digest_without_version(path):
+    lines = path.read_bytes().splitlines(keepends=True)
+    return hashlib.sha256(b"".join(line for line in lines
+                                   if b"generated_by" not in line)).hexdigest()
+
+
+@pytest.mark.parametrize("L, variant", sorted(GOLDEN_EMBED))
+def test_golden_embed_documents(tmp_path, capsys, L, variant):
+    """Tiled embeddings, plain, and with defect qubits and couplers, the
+    checkerboard gauge and j_ising = 0.4."""
+    section = {"L": L, "output_prefix": "emb"}
+    if variant == "gauged":
+        section.update(j_ising=0.4, gauge="checkerboard",
+                       defects=EMBED_DEFECTS)
+    config = tmp_path / "embed.json"
+    config.write_text(json.dumps({"output_dir": str(tmp_path),
+                                  "embed": section}))
+    assert cli.main(["embed", "--config", str(config)]) == 0
+    vacancies = "0 vacancies" if variant == "plain" else "10 vacancies"
+    assert capsys.readouterr().out.rstrip().endswith(vacancies)
+    assert (_digest_without_version(tmp_path / "emb.couplers.txt"),
+            _digest_without_version(tmp_path / "emb.map.json")) == \
+        GOLDEN_EMBED[(L, variant)]
+
+
+GOLDEN_SAMPLES = {
+    # format: (sample file, sidecar) sha256
+    "text": ("fd57d870d77ea1e13038b76c84daea7075b5894e50b77469be301c1f0e284b16",
+             "0bfdeae2627e4dd3ac2ddfac21d24a1c15913646bb4b84029017f57ba749757c"),
+    "binary": (
+        "1b0fba346d2dcae09b1b61bf27f70bd0ae6c441b50f779d6fe29d695ed80b3bc",
+        "3b5852de6c062cfc72b43d6802a25859cb11f54d2f0f1ff39ed71b763e98ea02"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_SAMPLES))
+def test_golden_sample_files(tmp_path, fmt):
+    """150 runs of flips drawn in the built site order, with vacancies."""
+    emb = build_full_embedding(4, j_ising=0.4,
+                               defects=DefectList(qubits={5, 600, 1999}))
+    samples = synthesize_samples(emb, 150, 0.1, seed=3, annealing_time=7.5)
+    path = tmp_path / fmt
+    write_samples(path, samples, fmt)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256((tmp_path / f"{fmt}.meta.json").read_bytes())
+            .hexdigest()) == GOLDEN_SAMPLES[fmt]
+    if fmt == "text":
+        lines = path.read_text().splitlines()[2:]
+        assert lines == [" ".join(str(int(v)) for v in run)
+                         for run in samples.values]

@@ -8,6 +8,7 @@ and the validator arbitrary JSON values.
 import dataclasses
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +18,12 @@ from hypothesis import strategies as st
 from annealkit import cli
 from annealkit.analysis import rescaled_rows
 from annealkit.chimera import (DECODED_COLUMNS, N_QUBITS, SAMPLES_MAGIC,
-                               build_embedding, read_coupler_list,
+                               DefectList, build_embedding,
+                               build_full_embedding, read_coupler_list,
                                read_decoded, read_embedding, read_samples,
-                               synthesize_samples, write_samples)
+                               synthesize_samples, tile_partition,
+                               write_coupler_list, write_logical_map,
+                               write_samples)
 from annealkit.config import _SCHEMA, validate_config
 from annealkit.ensemble import SweepPlan
 from annealkit.errors import ConfigError, ParameterError, SchemaError
@@ -54,6 +58,29 @@ def device_files(tmp_path):
     return {"samples": str(tmp_path / "samples.txt"),
             "couplers": str(tmp_path / "emb.couplers.txt"),
             "logical_map": str(tmp_path / "emb.map.json")}
+
+
+@pytest.fixture
+def tiled_files(tmp_path):
+    """Valid coupler list and logical map of the 64 tiles of side 4, and
+    text samples taken on them."""
+    cfg = write_config(tmp_path, {
+        "output_dir": str(tmp_path),
+        "embed": {"L": 4, "output_prefix": "tiled"}})
+    assert cli.main(["embed", "--config", cfg]) == 0
+    write_samples(tmp_path / "samples.txt",
+                  synthesize_samples(build_full_embedding(4), 5))
+    return {"samples": str(tmp_path / "samples.txt"),
+            "couplers": str(tmp_path / "tiled.couplers.txt"),
+            "logical_map": str(tmp_path / "tiled.map.json")}
+
+
+def edit_map(files, edit):
+    """Rewrite the logical map with edit(doc) applied."""
+    path = Path(files["logical_map"])
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
 
 
 def run_decode(tmp_path, capsys, files):
@@ -188,6 +215,18 @@ class TestMalformedFilesExitCleanly:
             read_embedding(device_files["couplers"], path)
         run_decode(tmp_path, capsys, device_files)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_coupler_value_not_finite(self, tmp_path, capsys, device_files,
+                                      value):
+        path = tmp_path / "emb.couplers.txt"
+        assert "\n0 4 -1.0\n" in path.read_text()
+        path.write_text(path.read_text().replace("\n0 4 -1.0\n",
+                                                 f"\n0 4 {value}\n"))
+        (tmp_path / "samples.txt.meta.json").unlink()  # no coupler digest
+        with pytest.raises(SchemaError, match="not finite"):
+            read_coupler_list(path)
+        run_decode(tmp_path, capsys, device_files)
+
     @pytest.mark.parametrize("value", [
         "abc", [1], True, -3.0, 0.0, float("inf"), float("nan"), 10 ** 400,
     ], ids=["text", "list", "bool", "negative", "zero", "inf", "nan",
@@ -317,6 +356,74 @@ class TestMalformedFilesExitCleanly:
             "output_dir": str(tmp_path),
             "collapse": {"input": str(table), "fit_summary": str(summary)}})
         assert_clean_exit(capsys, ["collapse", "--config", cfg])
+
+
+class TestLogicalMapHoles:
+    """Maps that each decoded to exit 0 before these checks, with sites
+    silently replaced, tiles decoded twice or tiles dropped."""
+
+    def test_site_listed_twice(self, tmp_path, capsys, tiled_files):
+        def edit(doc):
+            doc["sites"][1].update(x=doc["sites"][0]["x"],
+                                   y=doc["sites"][0]["y"])
+        edit_map(tiled_files, edit)
+        with pytest.raises(SchemaError, match="listed twice"):
+            read_embedding(tiled_files["couplers"], tiled_files["logical_map"])
+        run_decode(tmp_path, capsys, tiled_files)
+
+    def test_placement_listed_twice(self, tmp_path, capsys, tiled_files):
+        edit_map(tiled_files,
+                 lambda doc: doc["placements"].append(doc["placements"][-1]))
+        with pytest.raises(SchemaError, match="placed twice"):
+            read_embedding(tiled_files["couplers"], tiled_files["logical_map"])
+        run_decode(tmp_path, capsys, tiled_files)
+        assert not (tmp_path / "decoded.tsv").exists()
+
+    def test_sites_of_a_tile_that_is_not_placed(self, tmp_path, capsys,
+                                                tiled_files):
+        def edit(doc):
+            for site in doc["sites"]:
+                if site["tile"] == 63:
+                    site["tile"] = 99
+        edit_map(tiled_files, edit)
+        with pytest.raises(SchemaError, match="not a placement"):
+            read_embedding(tiled_files["couplers"], tiled_files["logical_map"])
+        run_decode(tmp_path, capsys, tiled_files)
+
+    @pytest.mark.parametrize("tile_side", [0, 1, 3, 5, 33])
+    def test_tile_side_not_that_of_the_tiles(self, tmp_path, capsys,
+                                             tiled_files, tile_side):
+        edit_map(tiled_files, lambda doc: doc.update(tile_side=tile_side))
+        with pytest.raises(SchemaError, match=" is not in | lies outside "
+                                              "|placement corners"):
+            read_embedding(tiled_files["couplers"], tiled_files["logical_map"])
+        run_decode(tmp_path, capsys, tiled_files)
+
+    @pytest.mark.parametrize("tile_side", [3, 5])
+    def test_tile_side_not_that_of_the_one_tile(self, tmp_path, capsys,
+                                                device_files, tile_side):
+        edit_map(device_files, lambda doc: doc.update(tile_side=tile_side))
+        with pytest.raises(SchemaError):
+            read_embedding(device_files["couplers"],
+                           device_files["logical_map"])
+        run_decode(tmp_path, capsys, device_files)
+
+    def test_site_outside_its_tile(self, tmp_path, capsys, tiled_files):
+        def edit(doc):
+            site = next(site for site in doc["sites"] if site["tile"] == 0
+                        and (site["x"], site["y"]) == (3, 0))
+            site["tile"] = 1     # (3, 0) lies in tile 0's window only
+        edit_map(tiled_files, edit)
+        with pytest.raises(SchemaError, match=" lies outside "):
+            read_embedding(tiled_files["couplers"], tiled_files["logical_map"])
+        run_decode(tmp_path, capsys, tiled_files)
+
+    def test_tile_with_a_site_missing(self, tmp_path, capsys, device_files):
+        edit_map(device_files, lambda doc: doc["sites"].pop())
+        with pytest.raises(SchemaError, match="15 sites, not 16"):
+            read_embedding(device_files["couplers"],
+                           device_files["logical_map"])
+        run_decode(tmp_path, capsys, device_files)
 
 
 class TestConfigShape:
@@ -591,3 +698,82 @@ def test_validate_config_raises_only_config_error(doc):
     except ConfigError:
         return
     assert isinstance(clean, dict)
+
+
+@pytest.fixture(scope="module")
+def map_documents(tmp_path_factory):
+    """The coupler list and the logical map document of three tiles of
+    side 4, one of them with a vacancy."""
+    directory = tmp_path_factory.mktemp("maps")
+    emb = build_embedding(4, defects=DefectList(qubits={5}),
+                          placements=tile_partition(4)[:3])
+    write_coupler_list(directory / "c.txt", emb)
+    write_logical_map(directory / "m.json", emb)
+    return (directory / "c.txt",
+            json.loads((directory / "m.json").read_text()))
+
+
+_BAD_VALUES = st.one_of(
+    st.sampled_from([None, True, False, "4", "", 4.0, 0.5, float("nan"),
+                     float("inf"), [], [1], [1, 2, 3], [True, 4], ["1", 4],
+                     [4.0, 5], {}, {"x": 1}, -1, 0, 1, 2, 32, 2047, 2048,
+                     2 ** 63, 10 ** 30, -(10 ** 30)]),
+    st.integers(-3, 40))
+_SITE_FIELDS = st.sampled_from(["x", "y", "tile", "qubits", "vacancy"])
+_TOP_FIELDS = st.sampled_from(["tile_side", "j_ising", "j_hc", "placements",
+                               "sites"])
+
+
+def _mutate(doc, data):
+    """Apply one drawn mutation to the JSON document in place: a wrong
+    value or type (bools for ints among them), a missing key, a short or
+    ragged list, or a duplicated entry."""
+    sites, placements = doc["sites"], doc["placements"]
+    kind = data.draw(st.sampled_from([
+        "site_value", "site_missing", "qubit_value", "qubits_length",
+        "site_duplicate", "site_not_object", "placement_value",
+        "placement_length", "placement_duplicate", "top_value",
+        "top_missing"]))
+    i = data.draw(st.integers(0, len(sites) - 1))
+    p = data.draw(st.integers(0, len(placements) - 1))
+    if kind == "site_value":
+        sites[i][data.draw(_SITE_FIELDS)] = data.draw(_BAD_VALUES)
+    elif kind == "site_missing":
+        del sites[i][data.draw(_SITE_FIELDS)]
+    elif kind == "qubit_value":
+        sites[i]["qubits"][data.draw(st.integers(0, 1))] = \
+            data.draw(_BAD_VALUES)
+    elif kind == "qubits_length":
+        sites[i]["qubits"] = data.draw(st.sampled_from([
+            [], sites[i]["qubits"][:1], sites[i]["qubits"] * 2,
+            [sites[i]["qubits"]]]))
+    elif kind == "site_duplicate":
+        sites.append(dict(sites[i]))
+    elif kind == "site_not_object":
+        sites[i] = data.draw(_BAD_VALUES)
+    elif kind == "placement_value":
+        placements[p][data.draw(st.integers(0, 2))] = data.draw(_BAD_VALUES)
+    elif kind == "placement_length":
+        placements[p] = data.draw(st.sampled_from([
+            placements[p][:2], placements[p] + [0], [], placements[p][0]]))
+    elif kind == "placement_duplicate":
+        placements.append(list(placements[p]))
+    elif kind == "top_value":
+        doc[data.draw(_TOP_FIELDS)] = data.draw(_BAD_VALUES)
+    else:
+        del doc[data.draw(_TOP_FIELDS)]
+
+
+@FUZZ
+@given(data=st.data())
+def test_read_embedding_raises_only_schema_error(map_documents, fuzz_file,
+                                                 data):
+    couplers, document = map_documents
+    doc = json.loads(json.dumps(document))
+    _mutate(doc, data)
+    fuzz_file.write_text(json.dumps(doc))
+    try:
+        emb = read_embedding(couplers, fuzz_file)
+    except SchemaError:
+        return
+    assert emb.qubits.shape == (len(emb.x), 2)
