@@ -46,7 +46,7 @@ def _effective_config(args) -> tuple:
         apply_override(doc, assignment)
     if getattr(args, "output_dir", None):
         doc["output_dir"] = args.output_dir
-    if getattr(args, "workers", None):
+    if getattr(args, "workers", None) is not None:
         doc["workers"] = args.workers
     if getattr(args, "master_seed", None) is not None:
         doc["master_seed"] = args.master_seed

@@ -179,6 +179,8 @@ def _check(path: str, value, expected) -> Any:
 def validate_config(doc: dict) -> dict:
     """Reject unknown keys and coerce numeric types; returns a clean copy."""
     clean = dict(DEFAULTS, **_check("", doc, _SCHEMA))
+    if clean["workers"] < 1:
+        raise ConfigError(f"workers must be >= 1, got {clean['workers']}")
     span = clean.get("simulate", {}).get("velocities")
     if isinstance(span, dict) and (
             set(span) != set(_VELOCITY_RANGE)

@@ -105,8 +105,11 @@ class SweepPlan:
         if self.noise_mode != "none" and self.n_realizations < 100:
             raise ParameterError("noisy sweeps need n_realizations >= 100 "
                                  "for meaningful binned error bars")
-        if self.noise_mode == "single" and self.single_site < 0:
-            raise ParameterError("single_site must be a valid site index")
+        if self.noise_mode == "single" and \
+                not 0 <= self.single_site < min(self.sizes):
+            raise ParameterError(
+                f"single_site {self.single_site} must be a site of every "
+                f"chain, 0 to {min(self.sizes) - 1}")
         if not self.rtol > 0.0:
             raise ParameterError(f"rtol must be positive, got {self.rtol}")
         if not self.atol >= 0.0:
@@ -184,6 +187,7 @@ class Pilot(NamedTuple):
     richardson: float           # |dE_n - dE_{n/2}| / 15
     error_ratio: float          # accepted propagator error over allowance
     orthogonality_defect: float  # worst max|R R^T - 1| of the two runs
+    search: list                # propagate's attempts, as Propagation.search
 
 
 def _pilot(plan: SweepPlan, L: int, v: float) -> Pilot:
@@ -194,7 +198,7 @@ def _pilot(plan: SweepPlan, L: int, v: float) -> Pilot:
     return Pilot(prop.steps, fine, abs(fine - coarse) / 15.0,
                  prop.error_ratio,
                  max(orthogonality_defect(prop.fine),
-                     orthogonality_defect(prop.coarse)))
+                     orthogonality_defect(prop.coarse)), prop.search)
 
 
 def _chunk_size(L: int, n_modes: int) -> int:
@@ -216,7 +220,8 @@ def run_point(L: int, v: float, plan: SweepPlan, workers: int = 1,
     """Ensemble mean and binned error at one grid point (T = 1/v).
 
     `health`, if given, receives the engine and the pilot's step count,
-    Richardson estimate, error ratio and orthogonality defect.
+    Richardson estimate, error ratio, orthogonality defect and step
+    search: one [steps, ratio, "sample" | "all"] per attempt.
     """
     n_real = 1 if plan.noise_mode == "none" else plan.n_realizations
     energies = np.empty(n_real)
@@ -240,7 +245,8 @@ def run_point(L: int, v: float, plan: SweepPlan, workers: int = 1,
         health.update(engine=ENGINE, steps=pilot.steps,
                       richardson_delta_e=pilot.richardson,
                       error_ratio=pilot.error_ratio,
-                      orthogonality_defect=pilot.orthogonality_defect)
+                      orthogonality_defect=pilot.orthogonality_defect,
+                      search=pilot.search)
     if n_real == 1:
         return PointRow(L, v, float(energies[0]), 0.0, 1, 1)
     mean, stderr, n_bins = bin_stats(energies, plan.n_bins)

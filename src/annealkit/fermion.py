@@ -89,6 +89,18 @@ propagate() accepts n steps when
 the Richardson estimate of the error of R_n summed against n per-step
 allowances.  The search starts at h = 1/2, grows n by 1.1 (e)^(1/5) after
 a failed ratio e and aborts beyond _MAX_STEPS steps.
+
+Every layer acts on the columns of the stored R, so its rows evolve
+independently: started from some rows of the identity, propagator()
+gives exactly those rows of the full propagator, bit for bit.  The
+search uses that from 2L >= _SAMPLE_FROM on, where a rejected attempt
+would cost a full pair: it first runs the pair on _SAMPLE_ROWS rows
+spread evenly over both Majorana kinds and rejects the attempt if their
+ratio exceeds 1.  Otherwise it runs the other rows, reuses the sample's
+and judges the attempt on all of them, so an accepted n, its ratio and
+its propagators are those of the full pair.  On the noise-free L = 256
+slice at rtol 1e-8 the opening guess fails at every velocity, and the
+sample takes that rejection at about a tenth of the cost.
 """
 
 from __future__ import annotations
@@ -116,7 +128,15 @@ _GL_NODES = np.array([-math.sqrt(0.15), 0.0, math.sqrt(0.15)])
 _GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 _FIRST_STEP = 0.5
 _MAX_STEPS = 1 << 24
-ENGINE = f"majorana-s6-block{BLOCK}"
+# propagate's step search tries an attempt on a sample of _SAMPLE_ROWS
+# rows of R first, from 2L >= _SAMPLE_FROM on.  Measured noise-free at
+# rtol 1e-8, one BLAS thread: 200 steps on 64 rows take 23 ms against
+# 229 ms for all rows at L = 256 (13 against 46 ms at L = 128); at
+# v = 0.001 ... 0.1 the opening guess h = 1/2 fails by 9-22x, and the
+# sample's ratio lies within 5% of the full one
+_SAMPLE_ROWS = 64
+_SAMPLE_FROM = 4 * _SAMPLE_ROWS
+ENGINE = f"majorana-s6-block{BLOCK}-sample{_SAMPLE_ROWS}"
 # entries of R below this are set to 0 after each block: far below any
 # result's rounding, and it keeps the layer multiplies out of subnormals
 _FLUSH = 1e-50
@@ -304,14 +324,26 @@ def _noise_kernel(chains, h: float):
     omega, amp, phase = (np.stack([getattr(sig, name) for sig in sigs])
                          for name in ("omega", "amp", "phase"))
     scale = 2.0 * coupling / np.sqrt(omega.shape[1])
-    # the alpha coefficients are symmetric: 4 distinct sub-interval lengths
+    # the alpha coefficients are symmetric: 4 distinct sub-interval lengths,
+    # and the centres c_{6-k} = 1 - c_k with c_3 = 1/2, so the phasor's
+    # shift e^{i c_k h omega} from the step's start to a centre k > 3 is
+    # shift_3^2 conj(shift_{6-k})
     lengths = [interval_weights(omega, amp, scale, a * h) for a in _ALPHA[:4]]
-    weights = []
-    for k, c in enumerate(_CENTRES):
-        # the phasor's shift from the step's start to the centre
+    shifts = []
+    for c in _CENTRES[:4]:
         arg = (c * h) * omega
-        weights.append(lengths[min(k, 6 - k)]
-                       * (np.cos(arg) + 1j * np.sin(arg)))
+        shift = np.empty(arg.shape, dtype=complex)
+        np.cos(arg, out=shift.real)
+        np.sin(arg, out=shift.imag)
+        shifts.append(shift)
+    whole = shifts[3] * shifts[3]
+    shifts += [np.conj(shift) for shift in shifts[2::-1]]
+    for shift in shifts[4:]:
+        shift *= whole
+    # each shift times its interval's weight, in place
+    weights = shifts
+    for k, weight in enumerate(weights):
+        weight *= lengths[min(k, 6 - k)]
     rows = slice(None) if len(rows) == len(chains) * L else np.array(rows)
     return rows, PhasorMoments(omega, phase, h, weights)
 
@@ -337,7 +369,7 @@ def _shared(chain: ChainSpec) -> tuple:
     return chain.size, chain.bond_coupling, chain.base_field, chain.coupling
 
 
-def propagator(chains, T: float, steps: int) -> np.ndarray:
+def propagator(chains, T: float, steps: int, rows=None) -> np.ndarray:
     """The Majorana propagators of the anneal after `steps` S6 steps.
 
     `chains` is one ChainSpec, giving its (2L, 2L) propagator, or a
@@ -349,9 +381,13 @@ def propagator(chains, T: float, steps: int) -> np.ndarray:
     A propagator is returned transposed with interleaved columns: entry
     [k, 2i] is R[a_i, k] and [k, 2i + 1] is R[b_i, k], where row c of R
     expands the Heisenberg-evolved Majorana c in the Majoranas at t = 0.
+
+    `rows`, an index into the 2L initial Majoranas k, propagates only
+    those rows of the stored propagator, (r, 2L) per chain; they are bit
+    for bit those rows of the full one.
     """
     if isinstance(chains, ChainSpec):
-        return propagator([chains], T, steps)[0]
+        return propagator([chains], T, steps, rows)[0]
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) \
             or steps < 1:
         raise ParameterError(f"step count must be a positive int, got {steps!r}")
@@ -367,15 +403,18 @@ def propagator(chains, T: float, steps: int) -> np.ndarray:
     h = T / steps
     noise = _noise_kernel(chains, h)
 
-    S = np.empty((B, 2 * L, 2 * L))
-    S[:] = np.eye(2 * L)
+    start = np.eye(2 * L) if rows is None else np.eye(2 * L)[rows]
+    if start.ndim != 2 or not len(start):
+        raise ParameterError("rows must select at least one Majorana")
+    S = np.empty((B,) + start.shape)
+    S[:] = start
     pairs = S.view(complex)                 # columns a_i + i b_i
     # the array shifted by one entry, as one flat run of b_i + i a_{i+1};
     # every L-th entry pairs the last b of a row with the first a of the
     # next (also across propagators), and is put back after each bond layer
     links = S.reshape(-1)[1:-1].view(complex)
     straddle = slice(L - 1, None, L)
-    kept = np.empty(2 * B * L - 1, dtype=complex)
+    kept = np.empty(B * len(start) - 1, dtype=complex)
     magnitude = np.empty_like(S)            # |S|, for the flush
     # a block's field angles are (step, layer) + sites: per (propagator,
     # -, site), broadcast over rows
@@ -419,6 +458,9 @@ class Propagation:
     coarse: np.ndarray
     steps: int
     error_ratio: float      # Richardson error over its allowance, <= 1
+    # one (steps, ratio, "sample" | "all") per attempt, in order: the
+    # ratio that decided it and the rows it was taken on
+    search: list
 
 
 def propagate(chain: ChainSpec, T: float, rtol: float = 1e-8,
@@ -433,6 +475,15 @@ def propagate(chain: ChainSpec, T: float, rtol: float = 1e-8,
     included, raises IntegrationAbort before it runs.  With atol = 0,
     entries that the propagator flushes to 0 (below 1e-50) compare as
     0 = 0 rather than against their own size.
+
+    From 2L >= _SAMPLE_FROM Majoranas on, each attempt first runs the pair
+    on _SAMPLE_ROWS rows spread evenly over R; a sample ratio above 1
+    rejects it and sets the next count.  Otherwise the other rows run and
+    the attempt is judged on all rows, reusing the sample's, so the
+    sample only rejects: an accepted pair and its ratio are those of
+    the full propagators.  A count that follows a rejection by the
+    sample comes from the sample's ratio, so near a rounding edge it can
+    differ from the one a search on all rows tries.
     """
     if not rtol > 0.0:
         raise ParameterError(f"rtol must be positive, got {rtol}")
@@ -440,6 +491,12 @@ def propagate(chain: ChainSpec, T: float, rtol: float = 1e-8,
         raise ParameterError(f"atol must be non-negative, got {atol}")
     if not 0.0 < T < math.inf:
         raise ParameterError(f"anneal time must be positive and finite, got {T}")
+    size = 2 * chain.size
+    sample = None
+    if size >= _SAMPLE_FROM:
+        sample = np.linspace(0, size - 1, _SAMPLE_ROWS).astype(int)
+        rest = np.setdiff1d(np.arange(size), sample)
+    search = []
     grown, step, reason = T / _FIRST_STEP, _FIRST_STEP, "the first attempt"
     while True:
         if not grown <= _MAX_STEPS:         # also when inf or NaN
@@ -447,17 +504,44 @@ def propagate(chain: ChainSpec, T: float, rtol: float = 1e-8,
                 f"{reason} asks for {grown:.3g} steps, beyond the cap of "
                 f"{_MAX_STEPS}", t=T, step=step)
         n = _even(grown)
-        fine = propagator(chain, T, n)
-        coarse = propagator(chain, T, n // 2)
-        allowed = atol + rtol * np.maximum(np.abs(fine), np.abs(coarse))
-        with np.errstate(over="ignore"):    # an overflow reads as inf
-            scaled = (fine - coarse) / 15.0 / np.maximum(allowed, _TINY)
-            ratio = float(np.sqrt(np.mean(scaled * scaled))) / n
-        if ratio <= 1.0:
-            return Propagation(fine, coarse, n, ratio)
+        if sample is None:
+            fine = propagator(chain, T, n)
+            coarse = propagator(chain, T, n // 2)
+            rows = "all"
+        else:
+            fine = propagator(chain, T, n, sample)
+            coarse = propagator(chain, T, n // 2, sample)
+            rows = "sample"
+        ratio = _error_ratio(fine, coarse, n, rtol, atol)
+        if rows == "sample" and ratio <= 1.0:
+            fine = _with_rest(fine, sample, propagator(chain, T, n, rest), rest)
+            coarse = _with_rest(coarse, sample,
+                                propagator(chain, T, n // 2, rest), rest)
+            ratio, rows = _error_ratio(fine, coarse, n, rtol, atol), "all"
+        search.append((n, ratio, rows))
+        if rows == "all" and ratio <= 1.0:
+            return Propagation(fine, coarse, n, ratio, search)
         grown, step = 1.1 * n * ratio ** 0.2, T / n
         reason = (f"a Richardson error {ratio:.3g} times its allowance "
                   f"at {n} steps")
+
+
+def _with_rest(part: np.ndarray, sample: np.ndarray, other: np.ndarray,
+               rest: np.ndarray) -> np.ndarray:
+    """The propagator whose rows `sample` are `part` and rows `rest`
+    `other`."""
+    S = np.empty((len(sample) + len(rest), part.shape[1]))
+    S[sample], S[rest] = part, other
+    return S
+
+
+def _error_ratio(fine: np.ndarray, coarse: np.ndarray, n: int, rtol: float,
+                 atol: float) -> float:
+    """The RMS Richardson error of an n-step pair over n allowances."""
+    allowed = atol + rtol * np.maximum(np.abs(fine), np.abs(coarse))
+    with np.errstate(over="ignore"):        # an overflow reads as inf
+        scaled = (fine - coarse) / 15.0 / np.maximum(allowed, _TINY)
+        return float(np.sqrt(np.mean(scaled * scaled))) / n
 
 
 def _even(x: float) -> int:

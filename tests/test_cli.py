@@ -479,19 +479,28 @@ class TestSweepEngineProvenance:
     def test_sidecar_records_point_health(self, tmp_path):
         cfg = write_config(tmp_path, {
             "output_dir": str(tmp_path),
-            "simulate": {"sizes": [4], "velocities": [0.5, 1.0],
+            "simulate": {"sizes": [4, 128], "velocities": [0.5, 1.0],
                          "noise_mode": "none", "output": "t.tsv"}})
         assert cli.main(["simulate", "--config", cfg]) == 0
         sidecar = json.loads((tmp_path / "t.tsv.meta.json").read_text())
         points = sidecar["points"]
-        assert [(p["L"], p["v"]) for p in points] == [(4, 1.0), (4, 0.5)]
+        assert [(p["L"], p["v"]) for p in points] == \
+            [(4, 1.0), (4, 0.5), (128, 1.0), (128, 0.5)]
         for point in points:
             assert point["engine"] == ENGINE
             assert point["steps"] >= 2 and point["steps"] % 2 == 0
-            assert 0 <= point["richardson_delta_e"] < 1e-6
+            # dE and its error grow with the chain: 1e-6 at L = 4
+            assert 0 <= point["richardson_delta_e"] < 2.5e-7 * point["L"]
             assert 0 < point["error_ratio"] <= 1.0
             assert point["orthogonality_defect"] <= 1e-12
             assert point["wall_s"] > 0
+            # every attempt of the step search, the accepted one last;
+            # from L = 128 on a rejection may come from the row sample
+            *rejected, accepted = point["search"]
+            assert accepted == [point["steps"], point["error_ratio"], "all"]
+            assert rejected and all(ratio > 1.0 for _, ratio, _ in rejected)
+            kinds = {"sample"} if point["L"] == 128 else {"all"}
+            assert {rows for _, _, rows in rejected} == kinds
         table = read_table(tmp_path / "t.tsv")
         assert set(table.meta) == {"schema", "generated_by", "plan_digest",
                                    "config_digest"}

@@ -297,8 +297,9 @@ class TestMajoranaEngine:
         calls = []
         monkeypatch.setattr(fermion, "propagator",
                             lambda *args: calls.append(args))
-        with pytest.raises(IntegrationAbort):
-            propagate(ChainSpec(size=4), 10.0, rtol=1e-2, atol=1e-2)
+        for L in (4, 128):      # the full pair and the sampled one
+            with pytest.raises(IntegrationAbort):
+                propagate(ChainSpec(size=L), 10.0, rtol=1e-2, atol=1e-2)
         with pytest.raises(IntegrationAbort):     # T / h overflows to inf
             propagate(ChainSpec(size=4), 1e308)
         assert calls == []
@@ -316,6 +317,71 @@ class TestMajoranaEngine:
         S = propagate(ChainSpec(size=256), 1.0 / v, rtol=1e-8,
                       atol=1e-10).fine
         assert vacuum_residual_energy(S) == pytest.approx(expected, abs=5e-5)
+
+
+def record_propagator_calls(monkeypatch) -> list:
+    """(steps, rows) of each propagator call on one chain, rows None for
+    all of them."""
+    calls, real = [], fermion.propagator
+
+    def recorded(chains, T, steps, rows=None):
+        if isinstance(chains, ChainSpec):
+            calls.append((steps, None if rows is None else list(rows)))
+        return real(chains, T, steps, rows)
+
+    monkeypatch.setattr(fermion, "propagator", recorded)
+    return calls
+
+
+class TestSampledStepSearch:
+    """From L = 128 on, propagate rejects an attempt on 64 sample rows
+    before it runs the full pair."""
+
+    def test_rows_are_those_of_the_full_propagator(self):
+        # noise-free L=256 at T=10, where the flush is active
+        chain = ChainSpec(size=256)
+        rows = np.linspace(0, 511, 64).astype(int)
+        assert np.array_equal(propagator(chain, 10.0, 42, rows),
+                              propagator(chain, 10.0, 42)[rows])
+        # an all-sites batch of 3 at L=6: the chosen rows are stored next
+        # to each other and to the other chains' rows, across straddles
+        chains = batch_chains("all", 3)
+        full = propagator(chains, 8.0, 70)
+        for rows in ([0, 1], [5, 6, 7], [2, 9, 11], [11]):
+            assert np.array_equal(propagator(chains, 8.0, 70, rows),
+                                  full[:, rows])
+
+    def test_empty_rows_refused(self):
+        with pytest.raises(ParameterError):
+            propagator(ChainSpec(size=4), 1.0, 4, [])
+
+    def test_sample_rejects_then_rest_completes(self, monkeypatch):
+        chain = ChainSpec(size=256)
+        calls = record_propagator_calls(monkeypatch)
+        prop = propagate(chain, 10.0, rtol=1e-8, atol=1e-10)
+        sample = list(np.linspace(0, 511, 64).astype(int))
+        rest = sorted(set(range(512)) - set(sample))
+        assert calls == [(20, sample), (10, sample), (42, sample),
+                         (21, sample), (42, rest), (21, rest)]
+        assert [(n, rows) for n, _, rows in prop.search] == \
+            [(20, "sample"), (42, "all")]
+        assert prop.search[0][1] > 1.0
+        assert prop.search[1][1] == prop.error_ratio <= 1.0
+        monkeypatch.undo()
+        assert np.array_equal(prop.fine, propagator(chain, 10.0, 42))
+        assert np.array_equal(prop.coarse, propagator(chain, 10.0, 21))
+
+    def test_short_chain_runs_whole_pairs(self, monkeypatch):
+        calls = record_propagator_calls(monkeypatch)
+        prop = propagate(ChainSpec(size=32), 10.0, rtol=1e-8, atol=1e-10)
+        assert calls and all(rows is None for _, rows in calls)
+        assert all(rows == "all" for _, _, rows in prop.search)
+
+    def test_criterion_two_slice_step_counts(self):
+        steps = [propagate(ChainSpec(size=256), 1.0 / v, rtol=1e-8,
+                           atol=1e-10).steps
+                 for v in (0.01, 0.0178, 0.0316, 0.0562, 0.1)]
+        assert steps == [358, 212, 112, 68, 42]
 
 
 def batch_chains(noise, count, L=6, n_modes=32):

@@ -494,6 +494,39 @@ class TestRequiredKeys:
         assert_clean_exit(capsys, [verb, "--config", cfg])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    def test_single_site_beyond_the_smallest_chain(self, tmp_path, capsys):
+        # L=64 would run and be appended before L=8 found the site missing
+        doc = {"output_dir": str(tmp_path),
+               "simulate": {"sizes": [64, 8], "velocities": [0.5],
+                            "noise_mode": "single", "single_site": 20,
+                            "spectrum": {"n_modes": 4}}}
+        assert_clean_exit(capsys, ["simulate", "--config",
+                                   write_config(tmp_path, doc)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        with pytest.raises(ParameterError):
+            SweepPlan(sizes=(64, 8), noise_mode="single", single_site=8)
+        assert SweepPlan(sizes=(64, 8), noise_mode="single",
+                         single_site=7).single_site == 7
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize("source", ["flag", "config", "set"])
+    def test_worker_count_below_one(self, tmp_path, capsys, workers, source):
+        doc = {"output_dir": str(tmp_path),
+               "simulate": {"sizes": [4], "velocities": [0.5],
+                            "noise_mode": "none"}}
+        argv = []
+        if source == "flag":
+            argv = ["--workers", str(workers)]
+        elif source == "set":
+            argv = ["--set", f"workers={workers}"]
+        else:
+            doc["workers"] = workers
+        with pytest.raises(ConfigError):
+            validate_config(dict(doc, workers=workers))
+        assert_clean_exit(capsys, ["simulate", "--config",
+                                   write_config(tmp_path, doc)] + argv)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_empty_sizes_rejected_by_plan(self):
         with pytest.raises(ParameterError):
             SweepPlan(sizes=())
