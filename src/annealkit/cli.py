@@ -144,10 +144,13 @@ def cmd_qubit(args) -> int:
         sec["spectrum"] = NoiseSpectrum(**sec["spectrum"])
     run = QubitRun(master_seed=doc["master_seed"], **sec)
     start = time.perf_counter()
+    passes = []
 
-    def progress(substeps, done, chunks):
-        print(f"  substeps {substeps}: chunk {done}/{chunks} "
-              f"({time.perf_counter() - start:.1f} s)", flush=True)
+    def progress(substeps, chunks, wall_s):
+        passes.append({"substeps": substeps, "chunks": chunks,
+                       "wall_s": round(wall_s, 3)})
+        print(f"  substeps {substeps}: {chunks} chunks ({wall_s:.1f} s)",
+              flush=True)
 
     curve = evolve_qubit(run, progress)
     out = _outpath(doc, output)
@@ -161,6 +164,7 @@ def cmd_qubit(args) -> int:
                "trace_defect": curve.trace_defect,
                "hermiticity_defect": curve.hermiticity_defect,
                "min_eigenvalue": curve.min_eigenvalue,
+               "passes": passes,
                "wall_s": round(time.perf_counter() - start, 3)}
     try:
         t_r = coherence_time(curve)

@@ -186,7 +186,7 @@ class Pilot(NamedTuple):
     delta_e: float
     richardson: float           # |dE_n - dE_{n/2}| / 15
     error_ratio: float          # accepted propagator error over allowance
-    orthogonality_defect: float  # worst max|R R^T - 1| of the two runs
+    orthogonality_defect: float  # max|R R^T - 1| of the fine run
     search: list                # propagate's attempts, as Propagation.search
 
 
@@ -196,9 +196,8 @@ def _pilot(plan: SweepPlan, L: int, v: float) -> Pilot:
     fine = residual_energy(prop.fine)
     coarse = residual_energy(prop.coarse)
     return Pilot(prop.steps, fine, abs(fine - coarse) / 15.0,
-                 prop.error_ratio,
-                 max(orthogonality_defect(prop.fine),
-                     orthogonality_defect(prop.coarse)), prop.search)
+                 prop.error_ratio, orthogonality_defect(prop.fine),
+                 prop.search)
 
 
 def _chunk_size(L: int, n_modes: int) -> int:

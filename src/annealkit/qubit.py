@@ -6,23 +6,38 @@ matrix gives the purity curve Tr[rho(t)^2], which decays from 1 toward
 1/2.  The coherence time is the first crossing of 3/4.
 
 Engine: the realizations are propagated together, on arrays of shape
-(realizations, n_modes) in cache-sized chunks, by a fourth-order Magnus
-step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) with n
-substeps per dt_out.  For a substep of length h and midpoint t_m the
-noise enters through two exact moments of lambda * eta, one mode at a
-time:
+(realizations, n_modes), by a fourth-order Magnus step (Blanes, Casas,
+Oteo & Ros, Phys. Rep. 470, 151 (2009)) with n substeps per dt_out.  For
+a substep of length h and midpoint t_m the noise enters through two exact
+moments of lambda * eta, one mode at a time:
 
     D0 = lambda/sqrt(N) sum_k a_k h sinc(w_k h/2) cos(w_k t_m - phi_k)
     E1 = -lambda/sqrt(N) sum_k a_k (h/2) q(w_k h/2) sin(w_k t_m - phi_k)
 
 with q(x) = (sin x / x - cos x) / x.  The step exponent is
 Omega = -i [h h_z sigma_z + D0 sigma_x - 2 h h_z E1 sigma_y], applied as
-the exact 2x2 exponential.  At h_z = 0 each step is an exact rotation, so
-the closed form psi = cos(Phi)|up> - i sin(Phi)|down>, Phi = lambda * int
-eta, is reproduced to rounding.  The moments come from
-`noise.PhasorMoments`, read min(n, noise.BLOCK) substeps at a time, with
-the shift e^{i w h/2} from a substep's start to its midpoint folded into
-the weights.
+the exact 2x2 exponential [[alpha, -beta*], [beta, alpha*]].  At h_z = 0
+each step is an exact rotation about x, so the closed form
+psi = cos(Phi)|up> - i sin(Phi)|down>, Phi = lambda * int eta, is
+reproduced to rounding.  The moments come from `noise.PhasorMoments`,
+with the shift e^{i w h/2} from a substep's start to its midpoint folded
+into the weights.
+
+The substeps are composed as arrays, one output interval at a time.  A
+chunk of realizations runs the time grid in segments of _SEGMENT output
+intervals.  For each segment it reads the moments noise.BLOCK substeps
+at a time, across dt_out boundaries (_SEGMENT n is a multiple of BLOCK,
+so only a chunk's last read is short); builds every fine and coarse
+substep's (alpha, beta) with one set of array operations; multiplies the
+n substeps of each dt_out pairwise in time order; and advances psi once
+per dt_out.  Memory grows with n but not with t_max.  With no Python
+left per substep, a chunk is sized for the cache, not to amortize calls:
+_CHUNK_ELEMENTS = 8,192 mode entries, 8 rows of 1,000 modes, timed
+fastest at 1,000 realizations among 4 to 64 rows.  Composing the
+substeps of a dt_out before applying them changes the order of the
+products, and at n = 2 the reads of 8 substeps instead of 2 change the
+shape of the moments' matrix product, so the purity moved in the last
+bits against the per-substep engine (`magnus4-block8`).
 
 `rtol` bounds the estimated purity error.  One pass gives the curves P_n
 and P_{n/2} for n and n/2 substeps per dt_out (a coarse step uses the
@@ -34,6 +49,7 @@ _MAX_SUBSTEPS substeps per dt_out the run aborts.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,9 +59,10 @@ from .noise import (BLOCK, NoiseSpectrum, PhasorMoments,
                     first_moment_weights, interval_weights, sample_signal)
 
 QUBIT_STREAM_TAG = "qubit"
-ENGINE = f"magnus4-block{BLOCK}"
+ENGINE = f"magnus4-block{BLOCK}-composed"
 _MAX_SUBSTEPS = 1024    # per dt_out
-_CHUNK_ELEMENTS = 1 << 16
+_CHUNK_ELEMENTS = 1 << 13
+_SEGMENT = 64           # output intervals per segment
 
 
 @dataclass(frozen=True)
@@ -81,38 +98,46 @@ class PurityCurve:
     error_estimate: float = 0.0     # Richardson estimate of the purity error
 
 
-def _step(up, down, a_x, a_y, a_z):
-    """(up, down) after exp(-i (a_x sigma_x + a_y sigma_y + a_z sigma_z))."""
-    if a_z == 0.0:      # h_z = 0, so a_y = 0: a rotation about x
-        c, s = np.cos(a_x), -1j * np.sin(a_x)
-        return c * up + s * down, s * up + c * down
+def _chunk_rows(n_modes: int) -> int:
+    """Realizations per chunk: about _CHUNK_ELEMENTS mode entries."""
+    return max(1, _CHUNK_ELEMENTS // n_modes)
+
+
+def _su2(a_x, a_y=None, a_z=None):
+    """(alpha, beta) of exp(-i (a_x sigma_x + a_y sigma_y + a_z sigma_z)) =
+    [[alpha, -beta*], [beta, alpha*]], elementwise.  Without a_y and a_z
+    it is a rotation about x, taken exactly."""
+    if a_y is None:
+        return np.cos(a_x), -1j * np.sin(a_x)
     r = np.sqrt(a_x * a_x + a_y * a_y + a_z * a_z)
     f = np.sin(r) / r
-    # [[alpha, -beta*], [beta, alpha*]]
-    alpha = np.cos(r) - 1j * (f * a_z)
-    beta = f * (a_y - 1j * a_x)
-    return alpha * up - beta.conj() * down, beta * up + alpha.conj() * down
+    return np.cos(r) - 1j * (f * a_z), f * (a_y - 1j * a_x)
 
 
-def _propagate(run: QubitRun, omega, amp, phase, n_out: int, n: int,
-               progress=None) -> np.ndarray:
+def _compose(alpha, beta):
+    """Products of adjacent pairs along the last axis, the later one on the
+    left: U(1::2) U(0::2)."""
+    a1, a2 = alpha[..., 0::2], alpha[..., 1::2]
+    b1, b2 = beta[..., 0::2], beta[..., 1::2]
+    return a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
+
+
+def _propagate(run: QubitRun, omega, amp, phase, n_out: int,
+               n: int) -> np.ndarray:
     """Density matrices (2, n_out, 2, 2) from n Magnus substeps per dt_out
     and, from the same moments, from n/2.
 
-    Realizations run in chunks of about _CHUNK_ELEMENTS mode entries, so
-    the phase arrays stay in cache; each chunk runs the whole time grid.
-    `progress`, if given, is called as progress(n, chunks_done, chunks)
-    after each chunk.
+    Realizations run in chunks of _chunk_rows rows, so the phase arrays
+    stay in cache; each chunk runs the whole time grid, _SEGMENT output
+    intervals at a time.
     """
     n_real, n_modes = omega.shape
     h = run.dt_out / n
     scale = run.spectrum.coupling / np.sqrt(n_modes)
     a_z = h * run.h_z
-    rows = max(1, _CHUNK_ELEMENTS // n_modes)
-    per_read = min(n, BLOCK)    # divides n, a power of two
+    rows = _chunk_rows(n_modes)
     rho = np.zeros((2, n_out, 2, 2), dtype=complex)
-    chunks = range(0, n_real, rows)
-    for done, lo in enumerate(chunks, 1):
+    for lo in range(0, n_real, rows):
         om, am, ph = (a[lo:lo + rows] for a in (omega, amp, phase))
         # a_x and a_y = -2 h h_z E1 as integrals of the kernel: substep j
         # is centred on (j + 1/2) h
@@ -122,32 +147,53 @@ def _propagate(run: QubitRun, omega, amp, phase, n_out: int, n: int,
             weights.append(-1j * shift * first_moment_weights(
                 om, am, scale * h * h * run.h_z, h))
         kernel = PhasorMoments(om, ph, h, weights)
-        # psi over (fine/coarse, time, component, realization)
-        psi = np.zeros((2, n_out, 2, om.shape[0]), dtype=complex)
-        psi[:, 0, 0] = 1.0
-        up, down = psi[0, 0]
-        up_c, down_c = psi[1, 0]
-        a_y = 0.0
-        for k in range(1, n_out):
-            for i in range(n):
-                if i % per_read == 0:
-                    moments = kernel.integrals(per_read)
-                a_x = moments[:, i % per_read, 0]
-                if a_z:
-                    a_y = moments[:, i % per_read, 1]
-                up, down = _step(up, down, a_x, a_y, a_z)
-                if i % 2 == 0:
-                    first_x, first_y = a_x, a_y
-                    continue
-                # the coarse step spans this substep and the one before
-                up_c, down_c = _step(
-                    up_c, down_c, first_x + a_x,
-                    first_y + a_y + a_z * (first_x - a_x), 2 * a_z)
-            psi[:, k] = ((up, down), (up_c, down_c))
-        rho += (psi[:, :, :, None] * psi[:, :, None, :].conj()).sum(axis=-1)
-        if progress is not None:
-            progress(n, done, len(chunks))
-    return rho / n_real
+        # (component, fine/coarse, realization)
+        state = np.zeros((2, 2, om.shape[0]), dtype=complex)
+        state[0] = 1.0
+        for start in range(1, n_out, _SEGMENT):
+            stop = min(start + _SEGMENT, n_out)
+            m = (stop - start) * n
+            # whole reads across dt_out boundaries: _SEGMENT n is a
+            # multiple of BLOCK, so only a chunk's last read can be short
+            moments = np.concatenate(
+                [kernel.integrals(min(BLOCK, m - j))
+                 for j in range(0, m, BLOCK)], axis=1)
+            a_x = moments[..., 0]
+            # the coarse step spans substeps 2i and 2i + 1
+            x0, x1 = a_x[:, 0::2], a_x[:, 1::2]
+            if a_z:
+                a_y = moments[..., 1]
+                y0, y1 = a_y[:, 0::2], a_y[:, 1::2]
+                alpha, beta = _su2(
+                    np.concatenate([a_x, x0 + x1], axis=1),
+                    np.concatenate([a_y, y0 + y1 + a_z * (x0 - x1)], axis=1),
+                    np.repeat([a_z, 2 * a_z], [m, m // 2]))
+            else:
+                alpha, beta = _su2(np.concatenate([a_x, x0 + x1], axis=1))
+            # the fine pairs, then fine and coarse together: n/2 factors
+            # per dt_out each
+            fine = _compose(alpha[:, :m], beta[:, :m])
+            alpha, beta = (
+                np.stack([f, c[:, m:]]).reshape(2, -1, stop - start, n // 2)
+                for f, c in zip(fine, (alpha, beta)))
+            while alpha.shape[-1] > 1:
+                alpha, beta = _compose(alpha, beta)
+            # u[k, i, j] = [[alpha, -beta*], [beta, alpha*]] of interval k,
+            # over (fine/coarse, realization)
+            alpha, beta = (a[..., 0].transpose(2, 0, 1) for a in (alpha, beta))
+            u = np.stack([alpha, -beta.conj(), beta, alpha.conj()], axis=1)
+            u = u.reshape((-1, 2, 2) + alpha.shape[1:])
+            # psi over (time, component, fine/coarse, realization)
+            psi = np.empty_like(u[:, 0])
+            for k in range(stop - start):
+                terms = u[k] * state
+                state = psi[k]
+                np.add(terms[:, 0], terms[:, 1], out=state)
+            rho[:, start:stop] += np.einsum("tirw,tjrw->rtij", psi,
+                                            psi.conj())
+    rho /= n_real
+    rho[:, 0, 0, 0] = 1.0
+    return rho
 
 
 def _purity(rho: np.ndarray) -> np.ndarray:
@@ -157,8 +203,8 @@ def _purity(rho: np.ndarray) -> np.ndarray:
 def evolve_qubit(run: QubitRun, progress=None) -> PurityCurve:
     """Realization-averaged density matrix and its purity on a fixed grid.
 
-    `progress`, if given, is called as progress(substeps, chunks_done,
-    chunks) after each realization chunk of each pass.
+    `progress`, if given, is called as progress(substeps, chunks, wall_s)
+    after each pass over all realization chunks.
     """
     n_out = int(np.floor(run.t_max / run.dt_out + 1e-9)) + 1
     times = np.arange(n_out) * run.dt_out
@@ -168,9 +214,13 @@ def evolve_qubit(run: QubitRun, progress=None) -> PurityCurve:
     modes = [np.stack([getattr(s, name) for s in signals])
              for name in ("omega", "amp", "phase")]
 
+    chunks = -(-run.n_realizations // _chunk_rows(run.spectrum.n_modes))
     n = 2
     while True:
-        rho, rho_coarse = _propagate(run, *modes, n_out, n, progress)
+        start = time.perf_counter()
+        rho, rho_coarse = _propagate(run, *modes, n_out, n)
+        if progress is not None:
+            progress(n, chunks, time.perf_counter() - start)
         fine, coarse = _purity(rho), _purity(rho_coarse)
         estimate = float(np.abs(fine - coarse).max()) / 15.0
         if estimate <= run.rtol:

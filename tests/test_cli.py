@@ -190,6 +190,11 @@ class TestQubitVerb:
         assert sidecar["min_eigenvalue"] > -1e-12
         assert sidecar["wall_s"] >= 0
         assert sidecar["coherence_time"] > 0
+        # one entry per pass, the last at the accepted substep count
+        passes = sidecar["passes"]
+        assert [p["substeps"] for p in passes][-1] \
+            == sidecar["substeps_per_dt_out"]
+        assert all(p["chunks"] == 1 and p["wall_s"] >= 0 for p in passes)
 
     def test_progress_lines_leave_the_table_unchanged(self, tmp_path,
                                                       capsys):
@@ -200,9 +205,9 @@ class TestQubitVerb:
         lines = [line.split(" (")[0].strip()
                  for line in capsys.readouterr().out.splitlines()
                  if line.startswith("  substeps")]
-        # 1000 realizations of 1000 modes run in 16 chunks of 65 or fewer;
-        # h_z = 0 is accepted at the first substep count
-        assert lines == [f"substeps 2: chunk {k}/16" for k in range(1, 17)]
+        # one line per pass: 1000 realizations of 1000 modes run in 125
+        # chunks of 8, and h_z = 0 is accepted at the first substep count
+        assert lines == ["substeps 2: 125 chunks"]
         assert (tmp_path / "purity_hz0.tsv").read_bytes() \
             == (repo / "results" / "purity_hz0.tsv").read_bytes()
 

@@ -12,7 +12,9 @@ import pytest
 import annealkit
 from annealkit import qubit
 from annealkit.errors import HorizonError, IntegrationAbort, ParameterError
-from annealkit.noise import NoiseSpectrum, autocorrelation_exact, sample_signal
+from annealkit.noise import (BLOCK, NoiseSpectrum, PhasorMoments,
+                             autocorrelation_exact, first_moment_weights,
+                             interval_weights, sample_signal)
 from annealkit.qubit import (QUBIT_STREAM_TAG, PurityCurve, QubitRun,
                              coherence_time, evolve_qubit)
 from annealkit.tables import read_table
@@ -222,6 +224,111 @@ class TestMagnusEngine:
         # the h_z = 0.1 cases read 8 substeps at a time
         substeps = [int(line.split()[0]) for line in outputs.pop().splitlines()]
         assert substeps[0] >= 8 and substeps[2] >= 8, substeps
+
+
+def reference_step(up, down, a_x, a_y, a_z):
+    """(up, down) after exp(-i (a_x sigma_x + a_y sigma_y + a_z sigma_z))."""
+    if a_z == 0.0:      # h_z = 0, so a_y = 0: a rotation about x
+        c, s = np.cos(a_x), -1j * np.sin(a_x)
+        return c * up + s * down, s * up + c * down
+    r = np.sqrt(a_x * a_x + a_y * a_y + a_z * a_z)
+    f = np.sin(r) / r
+    # [[alpha, -beta*], [beta, alpha*]]
+    alpha = np.cos(r) - 1j * (f * a_z)
+    beta = f * (a_y - 1j * a_x)
+    return alpha * up - beta.conj() * down, beta * up + alpha.conj() * down
+
+
+def reference_propagate(run, omega, amp, phase, n_out, n):
+    """qubit._propagate one substep at a time: psi takes each fine and
+    coarse Magnus step in turn, with the moments read min(n, BLOCK)
+    substeps at a time inside each dt_out, all realizations at once."""
+    n_real, n_modes = omega.shape
+    h = run.dt_out / n
+    scale = run.spectrum.coupling / np.sqrt(n_modes)
+    a_z = h * run.h_z
+    per_read = min(n, BLOCK)
+    shift = np.exp(0.5j * h * omega)
+    weights = [shift * interval_weights(omega, amp, scale, h)]
+    if a_z:
+        weights.append(-1j * shift * first_moment_weights(
+            omega, amp, scale * h * h * run.h_z, h))
+    kernel = PhasorMoments(omega, phase, h, weights)
+    psi = np.zeros((2, n_out, 2, n_real), dtype=complex)
+    psi[:, 0, 0] = 1.0
+    up, down = psi[0, 0]
+    up_c, down_c = psi[1, 0]
+    a_y = 0.0
+    for k in range(1, n_out):
+        for i in range(n):
+            if i % per_read == 0:
+                moments = kernel.integrals(per_read)
+            a_x = moments[:, i % per_read, 0]
+            if a_z:
+                a_y = moments[:, i % per_read, 1]
+            up, down = reference_step(up, down, a_x, a_y, a_z)
+            if i % 2 == 0:
+                first_x, first_y = a_x, a_y
+                continue
+            # the coarse step spans this substep and the one before
+            up_c, down_c = reference_step(
+                up_c, down_c, first_x + a_x,
+                first_y + a_y + a_z * (first_x - a_x), 2 * a_z)
+        psi[:, k] = ((up, down), (up_c, down_c))
+    return (psi[:, :, :, None] * psi[:, :, None, :].conj()).sum(axis=-1) \
+        / n_real
+
+
+def modes_of(run):
+    signals = signals_of(run)
+    return [np.stack([getattr(s, name) for s in signals])
+            for name in ("omega", "amp", "phase")]
+
+
+# 20 realizations of 1000 modes span three chunks; 81 output intervals
+# leave a last segment of 17, which at 2 substeps per dt_out ends in a
+# read of 2
+COMPOSED = dict(spectrum=NoiseSpectrum(coupling=0.05, n_modes=1000),
+                n_realizations=20, t_max=40.5)
+
+
+class TestComposedEngine:
+    def test_run_shape_covers_partial_chunk_segment_and_read(self):
+        run = quick_run(**COMPOSED)
+        assert run.n_realizations % qubit._chunk_rows(1000) \
+            and run.n_realizations > qubit._chunk_rows(1000)
+        last_segment = round(run.t_max / run.dt_out) % qubit._SEGMENT
+        assert last_segment and (last_segment * 2) % BLOCK
+
+    @pytest.mark.parametrize("h_z, rtol", [(0.0, 1e-10), (0.1, 1e-10),
+                                           (0.2, 1e-10), (0.1, 1e-6)])
+    def test_matches_the_per_substep_reference(self, monkeypatch, h_z, rtol):
+        run = quick_run(h_z=h_z, rtol=rtol, **COMPOSED)
+        curve = evolve_qubit(run)
+        monkeypatch.setattr(qubit, "_propagate", reference_propagate)
+        reference = evolve_qubit(run)
+        assert curve.substeps == reference.substeps
+        assert np.abs(curve.purity - reference.purity).max() <= 1e-13
+
+    @pytest.mark.parametrize("h_z", [0.0, 0.1])
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_reads_are_whole_blocks(self, monkeypatch, h_z, n):
+        run = quick_run(h_z=h_z, **COMPOSED)
+        reads = {}      # kernel (one per chunk and pass) -> read sizes
+        real_integrals = PhasorMoments.integrals
+
+        def spy(kernel, steps):
+            reads.setdefault(kernel, []).append(steps)
+            return real_integrals(kernel, steps)
+
+        monkeypatch.setattr(PhasorMoments, "integrals", spy)
+        n_out = round(run.t_max / run.dt_out) + 1
+        qubit._propagate(run, *modes_of(run), n_out, n)
+        assert len(reads) == 3      # chunks of 8, 8 and 4 realizations
+        for sizes in reads.values():
+            assert sum(sizes) == (n_out - 1) * n
+            assert set(sizes[:-1]) == {BLOCK}
+            assert 0 < sizes[-1] <= BLOCK
 
 
 def test_qubit_import_loads_no_scipy():
