@@ -158,18 +158,18 @@ def _propagate(run: QubitRun, omega, amp, phase, n_out: int,
             moments = np.concatenate(
                 [kernel.integrals(min(BLOCK, m - j))
                  for j in range(0, m, BLOCK)], axis=1)
+            # the m fine substeps, then the m/2 coarse ones; coarse
+            # substep i spans fine substeps 2i and 2i + 1
             a_x = moments[..., 0]
-            # the coarse step spans substeps 2i and 2i + 1
             x0, x1 = a_x[:, 0::2], a_x[:, 1::2]
+            angles = [np.concatenate([a_x, x0 + x1], axis=1)]
             if a_z:
                 a_y = moments[..., 1]
                 y0, y1 = a_y[:, 0::2], a_y[:, 1::2]
-                alpha, beta = _su2(
-                    np.concatenate([a_x, x0 + x1], axis=1),
-                    np.concatenate([a_y, y0 + y1 + a_z * (x0 - x1)], axis=1),
-                    np.repeat([a_z, 2 * a_z], [m, m // 2]))
-            else:
-                alpha, beta = _su2(np.concatenate([a_x, x0 + x1], axis=1))
+                angles += [np.concatenate([a_y, y0 + y1 + a_z * (x0 - x1)],
+                                          axis=1),
+                           np.repeat([a_z, 2 * a_z], [m, m // 2])]
+            alpha, beta = _su2(*angles)
             # the fine pairs, then fine and coarse together: n/2 factors
             # per dt_out each
             fine = _compose(alpha[:, :m], beta[:, :m])
