@@ -14,9 +14,9 @@
 # script exits non-zero if any verb did.
 #
 # Measured cost on 2 cores with one BLAS thread per process:
-#   qubit_hz0, qubit_hz0_twin  ~1.5-2.2 s each
-#   qubit_hz01                 ~1 min
-#   qubit_hz02                 ~3.5-3.9 min (the qubit stage's wall time)
+#   qubit_hz0, qubit_hz0_twin  ~0.9-1.3 s each
+#   qubit_hz01                 ~21-24 s
+#   qubit_hz02                 ~67-73 s (the qubit stage's wall time)
 #   sweep_allsites             ~0.8 core-hours for all 39 points
 #                              (projected; the 25 committed DOP853 rows
 #                              belong to another plan digest, so the

@@ -24,20 +24,32 @@ over an interval of signed length d centred on t_c,
 so with complex weights computed once per run (`interval_weights`, and
 `first_moment_weights` for the first moment, times the shift e^{i w c}
 from a step's start to the centre c) every integral of step j is
-Re sum_modes w e^{i(w j h - phi)}.  The phasors advance by e^{i w h} per
-step and are recomputed exactly every REANCHOR steps, so rounding cannot
-drift.  `PhasorMoments.integrals` writes the phasors of up to BLOCK steps
-into a table, one complex multiply per entry, and contracts the table's
-real view with the real weight matrix [Re w; -Im w] in one matrix
-product per row.
+Re sum_modes w e^{i(w j h - phi)}.  `PhasorMoments` stores the phasor at
+every stride-th step only, advancing it by e^{i w stride h} and
+recomputing it exactly every REANCHOR stored phasors, so rounding cannot
+drift; the shifts e^{i w r h} to the steps r < stride in between are
+folded into the weights once per kernel, as powers of e^{i w h}.
+`PhasorMoments.integrals` writes up to BLOCK stored phasors into a table,
+one complex multiply per entry, and contracts the table's real view with
+the real weight matrix [Re w e^{i w r h}; -Im w e^{i w r h}], 2 modes by
+stride k, in one matrix product per row, giving up to BLOCK stride steps.
+
+The chain runs at stride 1: it reads one block of BLOCK steps at a time,
+and at that read size stride 8 read 1.4-1.5x slower on the L=32
+all-sites shape (128 rows x 100 modes x 7 weights, one BLAS thread),
+with a weight matrix 8 times larger (11.5 MB) and about 10 times slower
+to build.  The qubit reads BLOCK BLOCK = 64 substeps at stride BLOCK: an
+eighth of the phasor multiplies, and a product 8 times wider than the
+stride-1 one, which has only 1 or 2 columns for 2,000 inner terms.
 
 That product is the engines' only BLAS call.  Its bytes do not depend on
 the BLAS thread count, because OpenBLAS splits a product over its rows
 and columns, never over the inner sum over modes, and they do not depend
 on the other rows, because each row is its own product of a fixed shape.
-They do depend on the number of steps read at once, through the kernels
-the library picks for the shape, so BLOCK is a constant and the engines
-read fixed step counts.
+They do depend on the number of steps read at once and on the stride,
+through the kernels the library picks for the shape and the weights the
+shifts give, so BLOCK and each engine's stride are constants and the
+engines read fixed step counts.
 """
 
 from __future__ import annotations
@@ -49,8 +61,8 @@ import numpy as np
 from .errors import ParameterError
 from .seeds import stream
 
-REANCHOR = 64       # steps between exact evaluations of the phasors
-BLOCK = 8           # most steps per read; divides REANCHOR
+REANCHOR = 64       # stored phasors between exact evaluations
+BLOCK = 8           # most stored phasors per read
 
 
 @dataclass(frozen=True)
@@ -176,42 +188,61 @@ class PhasorMoments:
 
     `omega` and `phase` have shape (rows, modes); `weights` is a sequence
     of k complex arrays of that shape.  Integral k of step j is
-    Re sum_modes weights[k] e^{i(w j h - phi)}.  The phasors advance by
-    e^{i w h} per step and are evaluated exactly at every step j with
-    j % REANCHOR == 0.
+    Re sum_modes weights[k] e^{i(w j h - phi)}.  The phasor is stored at
+    every `stride`-th step, advanced by e^{i w stride h} and evaluated
+    exactly at every REANCHOR-th stored phasor; the shifts e^{i w r h},
+    r < stride, to the steps in between are folded into the weights.
     """
 
-    def __init__(self, omega, phase, h: float, weights):
+    def __init__(self, omega, phase, h: float, weights, stride: int = 1):
         self.omega = omega
         self.phase = phase
         self.h = h
+        self.stride = stride
+        advance = np.exp(1j * h * omega)
         # [Re w; -Im w] against the real view (re, im per mode) of a row's
-        # phasors
+        # phasors, column r k + k' for integral k' of the step r past a
+        # stored phasor, whose weights are w e^{i w h}^r
         rows, modes = np.shape(omega)
-        matrix = np.empty((rows, modes, 2, len(weights)))
-        for k, w in enumerate(weights):
-            matrix[..., 0, k] = w.real
-            matrix[..., 1, k] = -w.imag
+        matrix = np.empty((rows, modes, 2, stride, len(weights)))
+        for r in range(stride):
+            if r:
+                weights = [w * advance for w in weights]
+            for k, w in enumerate(weights):
+                matrix[..., 0, r, k] = w.real
+                matrix[..., 1, r, k] = -w.imag
         self.weights = matrix.reshape(rows, 2 * modes, -1)
-        self.advance = np.exp(1j * h * omega)
+        self.advance = advance if stride == 1 else np.exp(
+            1j * (stride * h) * omega)
         self.table = np.empty((BLOCK,) + np.shape(omega), dtype=complex)
-        self.last = 0       # the table entry holding the step before
+        self.last = 0       # the table entry holding the stored phasor before
         self.step = 0
 
     def integrals(self, steps: int) -> np.ndarray:
-        """The integrals of the next `steps` <= BLOCK steps, shape (rows,
-        steps, k)."""
-        table = self.table[:steps]
+        """The integrals of the next `steps` steps, shape (rows, steps, k):
+        1 <= steps <= BLOCK stride, from a stored phasor on."""
+        stride = self.stride
+        if not 1 <= steps <= BLOCK * stride:
+            raise ParameterError(
+                f"a read takes 1 to {BLOCK * stride} steps, got {steps}")
+        if self.step % stride:
+            raise ParameterError(
+                f"a read must start at a stored phasor, every {stride} "
+                f"steps; step {self.step} is not one")
+        table = self.table[:-(-steps // stride)]
         last = self.table[self.last]
-        for out in table:
-            j = self.step
-            self.step += 1
-            if j % REANCHOR:
+        for g, out in enumerate(table, self.step // stride):
+            if g % REANCHOR:
                 np.multiply(last, self.advance, out=out)
             else:
-                arg = j * self.h * self.omega - self.phase
+                arg = g * stride * self.h * self.omega - self.phase
                 np.cos(arg, out=out.real)
                 np.sin(arg, out=out.imag)
             last = out
-        self.last = steps - 1
-        return np.matmul(table.view(float).transpose(1, 0, 2), self.weights)
+        self.last = len(table) - 1
+        self.step += steps
+        moments = np.matmul(table.view(float).transpose(1, 0, 2),
+                            self.weights)
+        # (rows, stored, stride k) -> (rows, steps, k)
+        return moments.reshape(len(moments), len(table) * stride,
+                               -1)[:, :steps]

@@ -25,19 +25,21 @@ into the weights.
 
 The substeps are composed as arrays, one output interval at a time.  A
 chunk of realizations runs the time grid in segments of _SEGMENT output
-intervals.  For each segment it reads the moments noise.BLOCK substeps
-at a time, across dt_out boundaries (_SEGMENT n is a multiple of BLOCK,
-so only a chunk's last read is short); builds every fine and coarse
+intervals.  For each segment it reads the moments _READ = BLOCK^2 = 64
+substeps at a time, across dt_out boundaries, from a kernel that stores
+one phasor every BLOCK substeps (_SEGMENT n is a multiple of _READ, so
+only a chunk's last read is short); builds every fine and coarse
 substep's (alpha, beta) with one set of array operations; multiplies the
 n substeps of each dt_out pairwise in time order; and advances psi once
 per dt_out.  Memory grows with n but not with t_max.  With no Python
 left per substep, a chunk is sized for the cache, not to amortize calls:
-_CHUNK_ELEMENTS = 8,192 mode entries, 8 rows of 1,000 modes, timed
-fastest at 1,000 realizations among 4 to 64 rows.  Composing the
-substeps of a dt_out before applying them changes the order of the
-products, and at n = 2 the reads of 8 substeps instead of 2 change the
-shape of the moments' matrix product, so the purity moved in the last
-bits against the per-substep engine (`magnus4-block8`).
+_CHUNK_ELEMENTS = 8,192 mode entries, 8 rows of 1,000 modes, timed at
+1,000 realizations among 4 to 64 rows (4 to 32 within the spread of
+repeated runs, 64 slower).  The stride folds the shifts from a stored
+phasor to the 7 substeps after it into the moments' weights, so the
+purity moved in the last bits against the stride-1 reads of 8 substeps
+of `magnus4-block8-composed`; the chain's kernel stays at stride 1 and
+kept its bytes.
 
 `rtol` bounds the estimated purity error.  One pass gives the curves P_n
 and P_{n/2} for n and n/2 substeps per dt_out (a coarse step uses the
@@ -59,10 +61,11 @@ from .noise import (BLOCK, NoiseSpectrum, PhasorMoments,
                     first_moment_weights, interval_weights, sample_signal)
 
 QUBIT_STREAM_TAG = "qubit"
-ENGINE = f"magnus4-block{BLOCK}-composed"
 _MAX_SUBSTEPS = 1024    # per dt_out
 _CHUNK_ELEMENTS = 1 << 13
 _SEGMENT = 64           # output intervals per segment
+_READ = BLOCK * BLOCK   # substeps per read of the moments, stride BLOCK
+ENGINE = f"magnus4-stride{BLOCK}-read{_READ}"
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,7 @@ def _propagate(run: QubitRun, omega, amp, phase, n_out: int,
         if a_z:
             weights.append(-1j * shift * first_moment_weights(
                 om, am, scale * h * h * run.h_z, h))
-        kernel = PhasorMoments(om, ph, h, weights)
+        kernel = PhasorMoments(om, ph, h, weights, stride=BLOCK)
         # (component, fine/coarse, realization)
         state = np.zeros((2, 2, om.shape[0]), dtype=complex)
         state[0] = 1.0
@@ -154,10 +157,10 @@ def _propagate(run: QubitRun, omega, amp, phase, n_out: int,
             stop = min(start + _SEGMENT, n_out)
             m = (stop - start) * n
             # whole reads across dt_out boundaries: _SEGMENT n is a
-            # multiple of BLOCK, so only a chunk's last read can be short
+            # multiple of _READ, so only a chunk's last read can be short
             moments = np.concatenate(
-                [kernel.integrals(min(BLOCK, m - j))
-                 for j in range(0, m, BLOCK)], axis=1)
+                [kernel.integrals(min(_READ, m - j))
+                 for j in range(0, m, _READ)], axis=1)
             # the m fine substeps, then the m/2 coarse ones; coarse
             # substep i spans fine substeps 2i and 2i + 1
             a_x = moments[..., 0]

@@ -1,9 +1,12 @@
 """Sweep orchestration: seeding, binning, persistence, failure handling."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from annealkit import ensemble
+from annealkit import cli, ensemble
 from annealkit.ensemble import (PointRow, SweepPlan, bin_stats, build_chain,
                                 run_point, run_sweep)
 from annealkit.errors import IntegrationAbort, ParameterError, SchemaError
@@ -260,3 +263,25 @@ class TestRunSweep:
         # 100 modes, as in the sweep configs: batching pays below L=128
         assert [ensemble._chunk_size(L, 100) for L in (32, 64, 128, 256)] \
             == [4, 2, 1, 1]
+
+
+# sha256 of the table `simulate` writes for GOLDEN_SWEEP, the path-dependent
+# config_digest line left out.  The point's 116 steps cross a phasor
+# re-anchor and end in a short read of the noise moments.
+GOLDEN_SWEEP = {"sizes": [8], "velocities": [0.02], "n_realizations": 100,
+                "noise_mode": "all", "spectrum": {"n_modes": 100},
+                "rtol": 1e-6, "atol": 1e-9, "output": "curve.tsv"}
+GOLDEN_TABLE = \
+    "19a1abe45034b0f8dc82cf583dbf1dc88de2a75a38b4ce7c8f7d47a40b3d1f02"
+
+
+def test_golden_allsites_table(tmp_path):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"master_seed": 20260810,
+                                  "output_dir": str(tmp_path),
+                                  "simulate": GOLDEN_SWEEP}))
+    assert cli.main(["simulate", "--config", str(config)]) == 0
+    lines = (tmp_path / "curve.tsv").read_bytes().splitlines(keepends=True)
+    kept = b"".join(line for line in lines
+                    if not line.startswith(b"# config_digest:"))
+    assert hashlib.sha256(kept).hexdigest() == GOLDEN_TABLE

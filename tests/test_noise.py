@@ -9,7 +9,7 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 
 from annealkit.errors import ParameterError
-from annealkit.noise import (REANCHOR, NoiseSignal, NoiseSpectrum,
+from annealkit.noise import (BLOCK, REANCHOR, NoiseSignal, NoiseSpectrum,
                              PhasorMoments, autocorrelation_exact,
                              first_moment_weights, interval_weights,
                              sample_signal)
@@ -240,3 +240,102 @@ class TestPhasorMoments:
                              epsrel=1e-13)
             assert got[j, 0] == pytest.approx(integral, abs=1e-12), j
             assert -got[j, 1] == pytest.approx(moment, abs=1e-12), j
+
+
+class ReferenceMoments:
+    """The per-step reader: one phasor per step in a (BLOCK, rows, modes)
+    table, contracted with [Re w; -Im w] in one matrix product per row and
+    read of up to BLOCK steps."""
+
+    def __init__(self, omega, phase, h, weights):
+        self.omega = omega
+        self.phase = phase
+        self.h = h
+        rows, modes = np.shape(omega)
+        matrix = np.empty((rows, modes, 2, len(weights)))
+        for k, w in enumerate(weights):
+            matrix[..., 0, k] = w.real
+            matrix[..., 1, k] = -w.imag
+        self.weights = matrix.reshape(rows, 2 * modes, -1)
+        self.advance = np.exp(1j * h * omega)
+        self.table = np.empty((BLOCK,) + np.shape(omega), dtype=complex)
+        self.last = 0
+        self.step = 0
+
+    def integrals(self, steps):
+        table = self.table[:steps]
+        last = self.table[self.last]
+        for out in table:
+            j = self.step
+            self.step += 1
+            if j % REANCHOR:
+                np.multiply(last, self.advance, out=out)
+            else:
+                arg = j * self.h * self.omega - self.phase
+                np.cos(arg, out=out.real)
+                np.sin(arg, out=out.imag)
+            last = out
+        self.last = steps - 1
+        return np.matmul(table.view(float).transpose(1, 0, 2), self.weights)
+
+
+def read_in(kernel, total, size):
+    """The integrals of `total` steps read `size` at a time, the last read
+    shorter if `size` does not divide `total`."""
+    return np.concatenate([kernel.integrals(min(size, total - j))
+                           for j in range(0, total, size)], axis=1)
+
+
+class TestStoredPhasors:
+    """PhasorMoments against the per-step reader, on the qubit's weights
+    for three realizations of 1,000 modes."""
+
+    H = 0.5 / 16
+
+    @classmethod
+    def kernel_args(cls, k):
+        spec = NoiseSpectrum(n_modes=1000)
+        signals = [sample_signal(spec, (41, r)) for r in range(3)]
+        omega, amp, phase = (np.stack([getattr(s, name) for s in signals])
+                             for name in ("omega", "amp", "phase"))
+        h, scale = cls.H, 1.0 / np.sqrt(spec.n_modes)
+        shift = np.exp(0.5j * h * omega)
+        weights = [shift * interval_weights(omega, amp, scale, h),
+                   -1j * shift * first_moment_weights(omega, amp,
+                                                      scale * h * h, h)]
+        return omega, phase, h, weights[:k]
+
+    @pytest.mark.parametrize("size", range(1, BLOCK + 1))
+    def test_stride_one_is_the_per_step_reader(self, size):
+        args = self.kernel_args(2)
+        total = 2 * REANCHOR + 5
+        got = read_in(PhasorMoments(*args), total, size)
+        want = read_in(ReferenceMoments(*args), total, size)
+        assert got.shape == want.shape == (3, total, 2)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_stride_block_matches_the_per_step_reader(self, k):
+        # three re-anchors, at steps 0, BLOCK REANCHOR and twice that, and
+        # a last read that ends partway between two stored phasors
+        args = self.kernel_args(k)
+        total = 2 * BLOCK * REANCHOR + 5 * BLOCK + 3
+        got = read_in(PhasorMoments(*args, stride=BLOCK), total,
+                      BLOCK * BLOCK)
+        want = read_in(ReferenceMoments(*args), total, BLOCK)
+        assert got.shape == want.shape == (3, total, k)
+        assert np.abs(got - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("stride", [1, BLOCK])
+    def test_read_size_out_of_range(self, stride):
+        kernel = PhasorMoments(*self.kernel_args(1), stride=stride)
+        for steps in (0, -1, BLOCK * stride + 1):
+            with pytest.raises(ParameterError):
+                kernel.integrals(steps)
+
+    def test_read_must_start_at_a_stored_phasor(self):
+        kernel = PhasorMoments(*self.kernel_args(1), stride=BLOCK)
+        kernel.integrals(2 * BLOCK)
+        kernel.integrals(BLOCK + 3)
+        with pytest.raises(ParameterError):
+            kernel.integrals(BLOCK)

@@ -287,7 +287,7 @@ def modes_of(run):
 
 # 20 realizations of 1000 modes span three chunks; 81 output intervals
 # leave a last segment of 17, which at 2 substeps per dt_out ends in a
-# read of 2
+# read of 34, partway between two stored phasors
 COMPOSED = dict(spectrum=NoiseSpectrum(coupling=0.05, n_modes=1000),
                 n_realizations=20, t_max=40.5)
 
@@ -325,10 +325,12 @@ class TestComposedEngine:
         n_out = round(run.t_max / run.dt_out) + 1
         qubit._propagate(run, *modes_of(run), n_out, n)
         assert len(reads) == 3      # chunks of 8, 8 and 4 realizations
-        for sizes in reads.values():
+        for kernel, sizes in reads.items():
+            # a phasor stored every BLOCK substeps, BLOCK of them per read
+            assert kernel.stride == BLOCK
             assert sum(sizes) == (n_out - 1) * n
-            assert set(sizes[:-1]) == {BLOCK}
-            assert 0 < sizes[-1] <= BLOCK
+            assert set(sizes[:-1]) == {BLOCK * BLOCK}
+            assert 0 < sizes[-1] <= BLOCK * BLOCK
 
 
 def test_qubit_import_loads_no_scipy():
