@@ -100,7 +100,30 @@ ratio exceeds 1.  Otherwise it runs the other rows, reuses the sample's
 and judges the attempt on all of them, so an accepted n, its ratio and
 its propagators are those of the full pair.  On the noise-free L = 256
 slice at rtol 1e-8 the opening guess fails at every velocity, and the
-sample takes that rejection at about a tenth of the cost.
+sample takes that rejection at about a tenth of the cost.  The sample
+and the rest of an attempt share one noise kernel per step count, which
+PhasorMoments.restart() rewinds for the rest.
+
+A chain without noise signals is mirror-symmetric.  The signed mirror
+a_i -> b_{L-1-i}, b_i -> -a_{L-1-i} maps every field term a_i b_i onto
+a_{L-1-i} b_{L-1-i} and every bond term b_i a_{i+1} onto
+b_{L-2-i} a_{L-1-i}, and without noise every site has the same field
+at every time, so the mirror commutes with R for any schedule.  In the
+stored layout that reads
+
+    S[2L-1-k, 2L-1-c] = s(k) s(c) S[k, c],
+
+with s = +1 on the a (even) and -1 on the b (odd) columns.  propagate()
+therefore runs only the rows k < L of a noise-free chain, the sample's
+from their mirror images k or 2L-1-k, and writes the rows k >= L as
+signed mirrors in place: half the layer multiplies.  A mirrored row is
+not bit for bit the row propagator() computes.  The mirror swaps the
+real and imaginary halves of every complex pair, and numpy computes a
+complex product with a fused multiply-add, which rounds the two halves
+differently; the rows differ by a few 1e-15, and ENGINE names the
+mirror.  Noisy chains never take it, nor does a chain that carries
+signals at coupling 0, nor propagator() itself, so batches and the
+noise realizations of a sweep keep their bytes.
 """
 
 from __future__ import annotations
@@ -136,7 +159,7 @@ _MAX_STEPS = 1 << 24
 # sample's ratio lies within 5% of the full one
 _SAMPLE_ROWS = 64
 _SAMPLE_FROM = 4 * _SAMPLE_ROWS
-ENGINE = f"majorana-s6-block{BLOCK}-sample{_SAMPLE_ROWS}"
+ENGINE = f"majorana-s6-block{BLOCK}-sample{_SAMPLE_ROWS}-mirror"
 # entries of R below this are set to 0 after each block: far below any
 # result's rounding, and it keeps the layer multiplies out of subnormals
 _FLUSH = 1e-50
@@ -399,10 +422,17 @@ def propagator(chains, T: float, steps: int, rows=None) -> np.ndarray:
     if any(_shared(chain) != _shared(lead) for chain in chains):
         raise ParameterError("the chains of a batch must share size, "
                              "schedules and coupling")
+    return _propagated(chains, T, steps, rows,
+                       _noise_kernel(chains, T / steps))
+
+
+def _propagated(chains, T: float, steps: int, rows, noise) -> np.ndarray:
+    """propagator() of checked arguments, given the batch's noise kernel
+    _noise_kernel(chains, T / steps); the kernel restarts at step 0 here,
+    so one kernel serves several calls."""
+    lead = chains[0]
     B, L = len(chains), lead.size
     h = T / steps
-    noise = _noise_kernel(chains, h)
-
     start = np.eye(2 * L) if rows is None else np.eye(2 * L)[rows]
     if start.ndim != 2 or not len(start):
         raise ParameterError("rows must select at least one Majorana")
@@ -421,6 +451,7 @@ def propagator(chains, T: float, steps: int, rows=None) -> np.ndarray:
     sites = (B, 1, L) if noise is not None else (1, 1, 1)
     if noise is not None:
         rows, kernel = noise
+        kernel.restart()
     carry = np.zeros(sites)                 # last sub-interval, merged on
     for first in range(0, steps, BLOCK):
         n = min(BLOCK, steps - first)
@@ -484,6 +515,10 @@ def propagate(chain: ChainSpec, T: float, rtol: float = 1e-8,
     the full propagators.  A count that follows a rejection by the
     sample comes from the sample's ratio, so near a rounding edge it can
     differ from the one a search on all rows tries.
+
+    A chain with no signals runs its rows k < L, each once per attempt,
+    and takes the rows k >= L from its signed mirror (module docstring);
+    the sample rows and the acceptance are those of the assembled pair.
     """
     if not rtol > 0.0:
         raise ParameterError(f"rtol must be positive, got {rtol}")
@@ -492,10 +527,15 @@ def propagate(chain: ChainSpec, T: float, rtol: float = 1e-8,
     if not 0.0 < T < math.inf:
         raise ParameterError(f"anneal time must be positive and finite, got {T}")
     size = 2 * chain.size
+    # a noise-free chain computes its rows k < L and mirrors the others
+    mirror = chain.signals is None
+    whole = np.arange(chain.size) if mirror else None     # None: all rows
     sample = None
     if size >= _SAMPLE_FROM:
         sample = np.linspace(0, size - 1, _SAMPLE_ROWS).astype(int)
-        rest = np.setdiff1d(np.arange(size), sample)
+        first = np.unique(np.minimum(sample, size - 1 - sample)) if mirror \
+            else sample
+        rest = np.setdiff1d(np.arange(chain.size if mirror else size), first)
     search = []
     grown, step, reason = T / _FIRST_STEP, _FIRST_STEP, "the first attempt"
     while True:
@@ -504,19 +544,25 @@ def propagate(chain: ChainSpec, T: float, rtol: float = 1e-8,
                 f"{reason} asks for {grown:.3g} steps, beyond the cap of "
                 f"{_MAX_STEPS}", t=T, step=step)
         n = _even(grown)
+        # one noise kernel per step count, for the sample and the rest
+        runs = [(m, _noise_kernel([chain], T / m)) for m in (n, n // 2)]
         if sample is None:
-            fine = propagator(chain, T, n)
-            coarse = propagator(chain, T, n // 2)
+            fine, coarse = (_rows(chain, T, run, whole) for run in runs)
+            if mirror:
+                fine, coarse = (_assemble(size, True, (whole, S))
+                                for S in (fine, coarse))
             rows = "all"
         else:
-            fine = propagator(chain, T, n, sample)
-            coarse = propagator(chain, T, n // 2, sample)
+            part = [_rows(chain, T, run, first) for run in runs]
+            fine, coarse = (_mirrored(sample, first, S) for S in part) \
+                if mirror else part
             rows = "sample"
         ratio = _error_ratio(fine, coarse, n, rtol, atol)
         if rows == "sample" and ratio <= 1.0:
-            fine = _with_rest(fine, sample, propagator(chain, T, n, rest), rest)
-            coarse = _with_rest(coarse, sample,
-                                propagator(chain, T, n // 2, rest), rest)
+            fine, coarse = (_assemble(size, mirror, (first, S),
+                                      (rest, _rows(chain, T, run, rest)))
+                            for S, run in zip(part, runs))
+            del part        # free before the ratio's full-size temporaries
             ratio, rows = _error_ratio(fine, coarse, n, rtol, atol), "all"
         search.append((n, ratio, rows))
         if rows == "all" and ratio <= 1.0:
@@ -526,22 +572,63 @@ def propagate(chain: ChainSpec, T: float, rtol: float = 1e-8,
                   f"at {n} steps")
 
 
-def _with_rest(part: np.ndarray, sample: np.ndarray, other: np.ndarray,
-               rest: np.ndarray) -> np.ndarray:
-    """The propagator whose rows `sample` are `part` and rows `rest`
-    `other`."""
-    S = np.empty((len(sample) + len(rest), part.shape[1]))
-    S[sample], S[rest] = part, other
+def _rows(chain: ChainSpec, T: float, run: tuple, rows) -> np.ndarray:
+    """Rows `rows` (all when None) of the chain's propagator, run = (step
+    count, its noise kernel)."""
+    steps, noise = run
+    return _propagated([chain], T, steps, rows, noise)[0]
+
+
+def _assemble(size: int, mirror: bool, *parts) -> np.ndarray:
+    """The (size, size) propagator from parts (rows, values) of its
+    computed rows; with `mirror` those are the rows k < size / 2, and the
+    rows size - 1 - k are written as their signed mirrors, in place."""
+    S = np.empty((size, size))
+    for rows, values in parts:
+        S[rows] = values
+    if mirror:
+        half = size // 2
+        _reflect(S[half - 1::-1], np.arange(half - 1, -1, -1), S[half:])
     return S
+
+
+def _mirrored(rows: np.ndarray, computed: np.ndarray,
+              part: np.ndarray) -> np.ndarray:
+    """Rows `rows` (ascending) of a noise-free propagator whose rows
+    `computed` (ascending, all k < L) are `part`."""
+    size = part.shape[1]
+    split = np.searchsorted(rows, size // 2)
+    out = np.empty((len(rows), size))
+    out[:split] = part[np.searchsorted(computed, rows[:split])]
+    sources = size - 1 - rows[split:]
+    _reflect(part[np.searchsorted(computed, sources)], sources, out[split:])
+    return out
+
+
+def _reflect(part: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """Writes into `out` the signed mirrors of a noise-free propagator's
+    rows `rows`, given as `part`: row 2L-1-k is (-1)^(k+1+c) S[k, 2L-1-c]
+    at column c."""
+    columns = np.where(np.arange(part.shape[1]) % 2, -1.0, 1.0)
+    np.multiply(part[:, ::-1], columns, out=out)
+    out *= np.where(rows % 2, 1.0, -1.0)[:, None]
 
 
 def _error_ratio(fine: np.ndarray, coarse: np.ndarray, n: int, rtol: float,
                  atol: float) -> float:
-    """The RMS Richardson error of an n-step pair over n allowances."""
-    allowed = atol + rtol * np.maximum(np.abs(fine), np.abs(coarse))
+    """The RMS Richardson error of an n-step pair over n allowances,
+    computed in place in two buffers of the pair's size."""
+    allowed = np.abs(fine)
+    np.maximum(allowed, np.abs(coarse), out=allowed)
+    allowed *= rtol
+    allowed += atol
+    np.maximum(allowed, _TINY, out=allowed)
+    scaled = np.subtract(fine, coarse)
     with np.errstate(over="ignore"):        # an overflow reads as inf
-        scaled = (fine - coarse) / 15.0 / np.maximum(allowed, _TINY)
-        return float(np.sqrt(np.mean(scaled * scaled))) / n
+        scaled /= 15.0
+        scaled /= allowed
+        np.square(scaled, out=scaled)
+        return float(np.sqrt(np.mean(scaled))) / n
 
 
 def _even(x: float) -> int:

@@ -218,6 +218,11 @@ class PhasorMoments:
         self.last = 0       # the table entry holding the stored phasor before
         self.step = 0
 
+    def restart(self) -> None:
+        """Read from step 0 again, as a new kernel would: that read
+        evaluates its first phasor exactly."""
+        self.last = self.step = 0
+
     def integrals(self, steps: int) -> np.ndarray:
         """The integrals of the next `steps` steps, shape (rows, steps, k):
         1 <= steps <= BLOCK stride, from a stored phasor on."""

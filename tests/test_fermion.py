@@ -295,7 +295,7 @@ class TestMajoranaEngine:
         assert propagate(ChainSpec(size=4), 2.0, rtol=1e-2,
                          atol=1e-2).steps == 4
         calls = []
-        monkeypatch.setattr(fermion, "propagator",
+        monkeypatch.setattr(fermion, "_propagated",
                             lambda *args: calls.append(args))
         for L in (4, 128):      # the full pair and the sampled one
             with pytest.raises(IntegrationAbort):
@@ -320,17 +320,37 @@ class TestMajoranaEngine:
 
 
 def record_propagator_calls(monkeypatch) -> list:
-    """(steps, rows) of each propagator call on one chain, rows None for
+    """(steps, rows) of each propagation run on one chain, rows None for
     all of them."""
-    calls, real = [], fermion.propagator
+    calls, real = [], fermion._propagated
 
-    def recorded(chains, T, steps, rows=None):
-        if isinstance(chains, ChainSpec):
-            calls.append((steps, None if rows is None else list(rows)))
-        return real(chains, T, steps, rows)
+    def recorded(chains, T, steps, rows, noise):
+        calls.append((steps, None if rows is None else list(rows)))
+        return real(chains, T, steps, rows, noise)
 
-    monkeypatch.setattr(fermion, "propagator", recorded)
+    monkeypatch.setattr(fermion, "_propagated", recorded)
     return calls
+
+
+def record_noise_kernels(monkeypatch) -> list:
+    """The step length of each noise kernel built."""
+    built, real = [], fermion._noise_kernel
+
+    def recorded(chains, h):
+        built.append(h)
+        return real(chains, h)
+
+    monkeypatch.setattr(fermion, "_noise_kernel", recorded)
+    return built
+
+
+def noisy_sites(L, sites, seed=7, n_modes=64, coupling=0.01):
+    """A chain of L sites with noise signals on `sites`."""
+    spec = NoiseSpectrum(n_modes=n_modes)
+    signals = [None] * L
+    for site in sites:
+        signals[site] = sample_signal(spec, (seed, L, site))
+    return ChainSpec(size=L, coupling=coupling, signals=tuple(signals))
 
 
 class TestSampledStepSearch:
@@ -356,32 +376,104 @@ class TestSampledStepSearch:
             propagator(ChainSpec(size=4), 1.0, 4, [])
 
     def test_sample_rejects_then_rest_completes(self, monkeypatch):
-        chain = ChainSpec(size=256)
+        # single-site noise at L=128, the first size with a sample
+        chain = noisy_sites(128, [0])
         calls = record_propagator_calls(monkeypatch)
+        kernels = record_noise_kernels(monkeypatch)
         prop = propagate(chain, 10.0, rtol=1e-8, atol=1e-10)
-        sample = list(np.linspace(0, 511, 64).astype(int))
-        rest = sorted(set(range(512)) - set(sample))
-        assert calls == [(20, sample), (10, sample), (42, sample),
-                         (21, sample), (42, rest), (21, rest)]
+        sample = list(np.linspace(0, 255, 64).astype(int))
+        rest = sorted(set(range(256)) - set(sample))
+        assert calls == [(20, sample), (10, sample), (44, sample),
+                         (22, sample), (44, rest), (22, rest)]
+        # one kernel per step count, shared by the sample and the rest
+        assert kernels == [10.0 / 20, 10.0 / 10, 10.0 / 44, 10.0 / 22]
         assert [(n, rows) for n, _, rows in prop.search] == \
-            [(20, "sample"), (42, "all")]
+            [(20, "sample"), (44, "all")]
         assert prop.search[0][1] > 1.0
         assert prop.search[1][1] == prop.error_ratio <= 1.0
         monkeypatch.undo()
-        assert np.array_equal(prop.fine, propagator(chain, 10.0, 42))
-        assert np.array_equal(prop.coarse, propagator(chain, 10.0, 21))
+        assert np.array_equal(prop.fine, propagator(chain, 10.0, 44))
+        assert np.array_equal(prop.coarse, propagator(chain, 10.0, 22))
 
     def test_short_chain_runs_whole_pairs(self, monkeypatch):
+        chain = noisy_sites(32, range(32))
         calls = record_propagator_calls(monkeypatch)
-        prop = propagate(ChainSpec(size=32), 10.0, rtol=1e-8, atol=1e-10)
+        prop = propagate(chain, 10.0, rtol=1e-8, atol=1e-10)
         assert calls and all(rows is None for _, rows in calls)
         assert all(rows == "all" for _, _, rows in prop.search)
+        monkeypatch.undo()
+        assert np.array_equal(prop.fine, propagator(chain, 10.0, prop.steps))
+        assert np.array_equal(prop.coarse,
+                              propagator(chain, 10.0, prop.steps // 2))
 
     def test_criterion_two_slice_step_counts(self):
         steps = [propagate(ChainSpec(size=256), 1.0 / v, rtol=1e-8,
                            atol=1e-10).steps
                  for v in (0.01, 0.0178, 0.0316, 0.0562, 0.1)]
         assert steps == [358, 212, 112, 68, 42]
+
+
+def search_on_all_rows(chain, T, rtol, atol) -> list:
+    """The step counts propagate tries, with every row of each attempt
+    propagated: the sample's ratio from its rows of the full pair."""
+    size = 2 * chain.size
+    sample = np.linspace(0, size - 1, fermion._SAMPLE_ROWS).astype(int) \
+        if size >= fermion._SAMPLE_FROM else slice(None)
+    counts = [fermion._even(T / fermion._FIRST_STEP)]
+    while True:
+        n = counts[-1]
+        fine, coarse = propagator(chain, T, n), propagator(chain, T, n // 2)
+        ratio = fermion._error_ratio(fine[sample], coarse[sample], n, rtol,
+                                     atol)
+        if ratio <= 1.0:
+            ratio = fermion._error_ratio(fine, coarse, n, rtol, atol)
+        if ratio <= 1.0:
+            return counts
+        counts.append(fermion._even(1.1 * n * ratio ** 0.2))
+
+
+class TestMirroredSearch:
+    """A noise-free chain propagates its rows k < L and fills the rows
+    2L-1-k by its signed mirror."""
+
+    @pytest.mark.parametrize("chain, T", [
+        (ChainSpec(size=2), 5.0), (ChainSpec(size=3), 7.0),
+        (ChainSpec(size=8), 10.0), (ChainSpec(size=33), 10.0),
+        (ChainSpec(size=128), 30.0),
+        (ChainSpec(size=9, bond_coupling=lambda s: 0.8,
+                   base_field=lambda s: 0.5), 10.0),
+    ], ids=["L2", "L3", "L8", "L33", "L128_sample", "constant_schedules"])
+    def test_matches_the_search_on_all_rows(self, chain, T):
+        rtol, atol = 1e-8, 1e-10
+        prop = propagate(chain, T, rtol, atol)
+        fine = propagator(chain, T, prop.steps)
+        coarse = propagator(chain, T, prop.steps // 2)
+        assert np.abs(prop.fine - fine).max() <= 1e-13
+        assert np.abs(prop.coarse - coarse).max() <= 1e-13
+        # acceptance is judged on all 2L rows of the assembled pair
+        assert prop.error_ratio == fermion._error_ratio(
+            prop.fine, prop.coarse, prop.steps, rtol, atol)
+        # the ratio divides fine - coarse, some 1e-6 of R at rtol 1e-8, by
+        # its allowance: the pair's last-bit differences move it by up to
+        # their RMS in the same units, 2.5e-9 relative at L=2
+        allowed = atol + rtol * np.maximum(np.abs(fine), np.abs(coarse))
+        moved = (prop.fine - fine) - (prop.coarse - coarse)
+        bound = np.sqrt(np.mean((moved / 15.0 / allowed) ** 2)) / prop.steps
+        assert prop.error_ratio == pytest.approx(
+            fermion._error_ratio(fine, coarse, prop.steps, rtol, atol),
+            rel=1e-12, abs=2.0 * bound)
+        assert [n for n, _, _ in prop.search] == \
+            search_on_all_rows(chain, T, rtol, atol)
+        if chain.size >= 128:
+            assert prop.search[0][2] == "sample"
+
+    @pytest.mark.parametrize("L", [8, 128])
+    def test_signals_at_coupling_zero_take_no_mirror(self, L):
+        chain = noisy_sites(L, range(L), coupling=0.0)
+        prop = propagate(chain, 10.0)
+        assert np.array_equal(prop.fine, propagator(chain, 10.0, prop.steps))
+        assert np.array_equal(prop.coarse,
+                              propagator(chain, 10.0, prop.steps // 2))
 
 
 def batch_chains(noise, count, L=6, n_modes=32):

@@ -333,6 +333,19 @@ class TestStoredPhasors:
             with pytest.raises(ParameterError):
                 kernel.integrals(steps)
 
+    @pytest.mark.parametrize("stride", [1, BLOCK])
+    def test_restart_reads_as_a_new_kernel(self, stride):
+        # stopped past a re-anchor, after a short last read, then read
+        # again from step 0
+        args, size = self.kernel_args(2), BLOCK * stride
+        total = (REANCHOR + 3) * stride
+        kernel = PhasorMoments(*args, stride=stride)
+        read_in(kernel, total + stride, size)
+        kernel.restart()
+        got = read_in(kernel, total, size)
+        want = read_in(PhasorMoments(*args, stride=stride), total, size)
+        assert got.tobytes() == want.tobytes()
+
     def test_read_must_start_at_a_stored_phasor(self):
         kernel = PhasorMoments(*self.kernel_args(1), stride=BLOCK)
         kernel.integrals(2 * BLOCK)
