@@ -93,16 +93,20 @@ a failed ratio e and aborts beyond _MAX_STEPS steps.
 Every layer acts on the columns of the stored R, so its rows evolve
 independently: started from some rows of the identity, propagator()
 gives exactly those rows of the full propagator, bit for bit.  The
-search uses that from 2L >= _SAMPLE_FROM on, where a rejected attempt
-would cost a full pair: it first runs the pair on _SAMPLE_ROWS rows
-spread evenly over both Majorana kinds and rejects the attempt if their
-ratio exceeds 1.  Otherwise it runs the other rows, reuses the sample's
-and judges the attempt on all of them, so an accepted n, its ratio and
-its propagators are those of the full pair.  On the noise-free L = 256
-slice at rtol 1e-8 the opening guess fails at every velocity, and the
-sample takes that rejection at about a tenth of the cost.  The sample
-and the rest of an attempt share one noise kernel per step count, which
-PhasorMoments.restart() rewinds for the rest.
+search takes one path per attempt: it fills the attempt's (2L, 2L) pair
+with the computed rows that its first judgement reads and judges the
+pair's sample rows.  Below 2L = _SAMPLE_FROM the sample is every row.
+From it on, where a rejected attempt would cost a full pair, it is
+_SAMPLE_ROWS rows spread evenly over both Majorana kinds, and a ratio
+above 1 rejects the attempt.  Otherwise the rest of the rows are filled
+the same way and the attempt is judged on all of them, so an accepted n,
+its ratio and its propagators are those of the full pair.  On the
+noise-free L = 256 slice at rtol 1e-8 the opening guess fails at every
+velocity, and the sample takes that rejection at about a tenth of the
+cost.  The first rows and the rest of an attempt share one noise kernel
+per step count, which PhasorMoments.restart() rewinds for the rest.  The
+rest is the complement of a boolean mask: np.setdiff1d would import
+numpy.ma, about 1 MB, on its first call.
 
 A chain without noise signals is mirror-symmetric.  The signed mirror
 a_i -> b_{L-1-i}, b_i -> -a_{L-1-i} maps every field term a_i b_i onto
@@ -114,16 +118,17 @@ stored layout that reads
     S[2L-1-k, 2L-1-c] = s(k) s(c) S[k, c],
 
 with s = +1 on the a (even) and -1 on the b (odd) columns.  propagate()
-therefore runs only the rows k < L of a noise-free chain, the sample's
-from their mirror images k or 2L-1-k, and writes the rows k >= L as
-signed mirrors in place: half the layer multiplies.  A mirrored row is
-not bit for bit the row propagator() computes.  The mirror swaps the
-real and imaginary halves of every complex pair, and numpy computes a
-complex product with a fused multiply-add, which rounds the two halves
-differently; the rows differ by a few 1e-15, and ENGINE names the
-mirror.  Noisy chains never take it, nor does a chain that carries
-signals at coupling 0, nor propagator() itself, so batches and the
-noise realizations of a sweep keep their bytes.
+therefore computes only the rows k < L of a noise-free chain: each fill
+writes the signed mirror of a computed row k into row 2L-1-k, and a
+sample row k >= L is read from there.  That is half the layer
+multiplies.  A mirrored row is not bit for bit the row propagator()
+computes.  The mirror swaps the real and imaginary halves of every
+complex pair, and numpy computes a complex product with a fused
+multiply-add, which rounds the two halves differently; the rows differ
+by a few 1e-15, and ENGINE names the mirror.  Noisy chains never take
+it, nor does a chain that carries signals at coupling 0, nor
+propagator() itself, so batches and the noise realizations of a sweep
+keep their bytes.
 """
 
 from __future__ import annotations
@@ -507,18 +512,17 @@ def propagate(chain: ChainSpec, T: float, rtol: float = 1e-8,
     entries that the propagator flushes to 0 (below 1e-50) compare as
     0 = 0 rather than against their own size.
 
-    From 2L >= _SAMPLE_FROM Majoranas on, each attempt first runs the pair
-    on _SAMPLE_ROWS rows spread evenly over R; a sample ratio above 1
-    rejects it and sets the next count.  Otherwise the other rows run and
-    the attempt is judged on all rows, reusing the sample's, so the
-    sample only rejects: an accepted pair and its ratio are those of
-    the full propagators.  A count that follows a rejection by the
-    sample comes from the sample's ratio, so near a rounding edge it can
-    differ from the one a search on all rows tries.
-
-    A chain with no signals runs its rows k < L, each once per attempt,
-    and takes the rows k >= L from its signed mirror (module docstring);
-    the sample rows and the acceptance are those of the assembled pair.
+    Each attempt fills its pair with the computed rows that its first
+    judgement reads, and for a chain with no signals their signed mirrors
+    (module docstring), then judges the pair's sample rows.  Below
+    2L = _SAMPLE_FROM the sample is every row, and the attempt is decided
+    there.  From it on the sample is _SAMPLE_ROWS rows spread evenly over
+    R: a ratio above 1 rejects the attempt and sets the next count;
+    otherwise the other rows are filled the same way and the attempt is
+    judged on all rows.  So an accepted pair and its ratio are those of
+    the full propagators.  A count that follows a rejection by the sample
+    comes from the sample's ratio, so near a rounding edge it can differ
+    from the one a search on all rows tries.
     """
     if not rtol > 0.0:
         raise ParameterError(f"rtol must be positive, got {rtol}")
@@ -529,13 +533,17 @@ def propagate(chain: ChainSpec, T: float, rtol: float = 1e-8,
     size = 2 * chain.size
     # a noise-free chain computes its rows k < L and mirrors the others
     mirror = chain.signals is None
-    whole = np.arange(chain.size) if mirror else None     # None: all rows
-    sample = None
-    if size >= _SAMPLE_FROM:
+    first = np.arange(chain.size if mirror else size)
+    sampled = size >= _SAMPLE_FROM
+    sample = slice(None)
+    if sampled:
         sample = np.linspace(0, size - 1, _SAMPLE_ROWS).astype(int)
-        first = np.unique(np.minimum(sample, size - 1 - sample)) if mirror \
-            else sample
-        rest = np.setdiff1d(np.arange(chain.size if mirror else size), first)
+        # the computed rows the sample reads, the sample's own or those
+        # it mirrors; a mask, as np.setdiff1d would import numpy.ma
+        read = np.zeros(len(first), dtype=bool)
+        read[np.minimum(sample, size - 1 - sample) if mirror else sample] = True
+        first, rest = np.flatnonzero(read), np.flatnonzero(~read)
+    pair = np.empty((size, size)), np.empty((size, size))
     search = []
     grown, step, reason = T / _FIRST_STEP, _FIRST_STEP, "the first attempt"
     while True:
@@ -544,74 +552,36 @@ def propagate(chain: ChainSpec, T: float, rtol: float = 1e-8,
                 f"{reason} asks for {grown:.3g} steps, beyond the cap of "
                 f"{_MAX_STEPS}", t=T, step=step)
         n = _even(grown)
-        # one noise kernel per step count, for the sample and the rest
+        # one noise kernel per step count, for the first rows and the rest
         runs = [(m, _noise_kernel([chain], T / m)) for m in (n, n // 2)]
-        if sample is None:
-            fine, coarse = (_rows(chain, T, run, whole) for run in runs)
-            if mirror:
-                fine, coarse = (_assemble(size, True, (whole, S))
-                                for S in (fine, coarse))
-            rows = "all"
-        else:
-            part = [_rows(chain, T, run, first) for run in runs]
-            fine, coarse = (_mirrored(sample, first, S) for S in part) \
-                if mirror else part
-            rows = "sample"
-        ratio = _error_ratio(fine, coarse, n, rtol, atol)
-        if rows == "sample" and ratio <= 1.0:
-            fine, coarse = (_assemble(size, mirror, (first, S),
-                                      (rest, _rows(chain, T, run, rest)))
-                            for S, run in zip(part, runs))
-            del part        # free before the ratio's full-size temporaries
-            ratio, rows = _error_ratio(fine, coarse, n, rtol, atol), "all"
+        _fill(pair, first, chain, T, runs, mirror)
+        ratio = _error_ratio(*(S[sample] for S in pair), n, rtol, atol)
+        rows = "sample" if sampled else "all"
+        if sampled and ratio <= 1.0:
+            _fill(pair, rest, chain, T, runs, mirror)
+            ratio, rows = _error_ratio(*pair, n, rtol, atol), "all"
         search.append((n, ratio, rows))
         if rows == "all" and ratio <= 1.0:
-            return Propagation(fine, coarse, n, ratio, search)
+            return Propagation(*pair, n, ratio, search)
         grown, step = 1.1 * n * ratio ** 0.2, T / n
         reason = (f"a Richardson error {ratio:.3g} times its allowance "
                   f"at {n} steps")
 
 
-def _rows(chain: ChainSpec, T: float, run: tuple, rows) -> np.ndarray:
-    """Rows `rows` (all when None) of the chain's propagator, run = (step
-    count, its noise kernel)."""
-    steps, noise = run
-    return _propagated([chain], T, steps, rows, noise)[0]
-
-
-def _assemble(size: int, mirror: bool, *parts) -> np.ndarray:
-    """The (size, size) propagator from parts (rows, values) of its
-    computed rows; with `mirror` those are the rows k < size / 2, and the
-    rows size - 1 - k are written as their signed mirrors, in place."""
-    S = np.empty((size, size))
-    for rows, values in parts:
+def _fill(pair: tuple, rows: np.ndarray, chain: ChainSpec, T: float,
+          runs: list, mirror: bool) -> None:
+    """Writes rows `rows` of the chain's propagators into `pair`, one per
+    run = (step count, its noise kernel).  With `mirror` they are rows
+    k < L of a noise-free chain, and each row 2L-1-k is also written, as
+    (-1)^(k+1+c) S[k, 2L-1-c] at column c."""
+    columns = np.where(np.arange(2 * chain.size) % 2, -1.0, 1.0)
+    for S, (steps, noise) in zip(pair, runs):
+        values = _propagated([chain], T, steps, rows, noise)[0]
         S[rows] = values
-    if mirror:
-        half = size // 2
-        _reflect(S[half - 1::-1], np.arange(half - 1, -1, -1), S[half:])
-    return S
-
-
-def _mirrored(rows: np.ndarray, computed: np.ndarray,
-              part: np.ndarray) -> np.ndarray:
-    """Rows `rows` (ascending) of a noise-free propagator whose rows
-    `computed` (ascending, all k < L) are `part`."""
-    size = part.shape[1]
-    split = np.searchsorted(rows, size // 2)
-    out = np.empty((len(rows), size))
-    out[:split] = part[np.searchsorted(computed, rows[:split])]
-    sources = size - 1 - rows[split:]
-    _reflect(part[np.searchsorted(computed, sources)], sources, out[split:])
-    return out
-
-
-def _reflect(part: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """Writes into `out` the signed mirrors of a noise-free propagator's
-    rows `rows`, given as `part`: row 2L-1-k is (-1)^(k+1+c) S[k, 2L-1-c]
-    at column c."""
-    columns = np.where(np.arange(part.shape[1]) % 2, -1.0, 1.0)
-    np.multiply(part[:, ::-1], columns, out=out)
-    out *= np.where(rows % 2, 1.0, -1.0)[:, None]
+        if mirror:
+            values = values[:, ::-1] * columns
+            values *= np.where(rows % 2, 1.0, -1.0)[:, None]
+            S[len(S) - 1 - rows] = values
 
 
 def _error_ratio(fine: np.ndarray, coarse: np.ndarray, n: int, rtol: float,
@@ -636,8 +606,11 @@ def _even(x: float) -> int:
 
 
 def orthogonality_defect(S: np.ndarray) -> float:
-    """max |R R^T - 1|; zero for an exact propagator."""
-    return float(np.abs(S.T @ S - np.eye(S.shape[0])).max())
+    """max |R R^T - 1|; zero for an exact propagator.  Computed in place
+    in the one Gram matrix."""
+    gram = S.T @ S
+    gram.flat[::len(gram) + 1] -= 1.0
+    return float(np.abs(gram, out=gram).max())
 
 
 def vacuum_residual_energy(S: np.ndarray) -> float:

@@ -6,6 +6,7 @@ c_i = (prod_{j<i} sigma^x_j) (sigma^z - i sigma^y)_i / 2.
 """
 
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -399,7 +400,7 @@ class TestSampledStepSearch:
         chain = noisy_sites(32, range(32))
         calls = record_propagator_calls(monkeypatch)
         prop = propagate(chain, 10.0, rtol=1e-8, atol=1e-10)
-        assert calls and all(rows is None for _, rows in calls)
+        assert calls and all(rows == list(range(64)) for _, rows in calls)
         assert all(rows == "all" for _, _, rows in prop.search)
         monkeypatch.undo()
         assert np.array_equal(prop.fine, propagator(chain, 10.0, prop.steps))
@@ -411,6 +412,65 @@ class TestSampledStepSearch:
                            atol=1e-10).steps
                  for v in (0.01, 0.0178, 0.0316, 0.0562, 0.1)]
         assert steps == [358, 212, 112, 68, 42]
+
+
+# propagate(chain, T, 1e-8, 1e-10) of four chains, one per row path: the
+# step count, each search entry with the repr of its ratio, and the sha256
+# of the fine and the coarse propagator's bytes
+GOLDEN_SEARCH = {
+    "mirror_whole_L33": (
+        lambda: ChainSpec(size=33), 10.0, 50,
+        [(20, "59.368779220724775", "all"), (50, "0.27999987510287655", "all")],
+        "9df06e8f73477ca73ac00bf9719f010461bdcecfe088426dee310af94c95d2a3",
+        "6a18d25903caaba5f362b8221430b35d5444ec9b8465268b3c0cd8ffb5e4a897"),
+    "mirror_sample_L128": (
+        lambda: ChainSpec(size=128), 30.0, 118,
+        [(60, "17.37520444603631", "sample"),
+         (118, "0.6071265965264304", "all")],
+        "b6a3d904e050eebc77ee4d8ab2576845b1b2b953d616a9bc9859886b3844264f",
+        "2d5f0d1538d1d8ce41985ff04ce8c6bc145845eb53c7d9cbbc96a36ad077fe86"),
+    "sample_single_site_L128": (
+        lambda: noisy_sites(128, [0]), 10.0, 44,
+        [(20, "30.774478435402415", "sample"),
+         (44, "0.2811484302799693", "all")],
+        "c82a775f88521856b366d249efae608810342c209c97f12f611ed766c5a9258b",
+        "169876e6010bc84d85536c55b822f7b37a2ecc10e011ce0a8b6b1b2328bf9310"),
+    "whole_all_sites_L32": (
+        lambda: noisy_sites(32, range(32), n_modes=100), 100.0, 448,
+        [(200, "34.47551187192545", "all"), (448, "0.5889662630251659", "all")],
+        "b907a2e7ea064da487f9637f4f36e7e4bacb7285c2a092a66d65ef57da09ec21",
+        "8f4c8324392ad91b886a91f148586f92f53f22cde2e4631aac110d8e327ce193"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SEARCH))
+def test_golden_search(name):
+    make, T, steps, search, fine, coarse = GOLDEN_SEARCH[name]
+    prop = propagate(make(), T, 1e-8, 1e-10)
+    assert prop.steps == steps
+    assert [(n, repr(ratio), rows) for n, ratio, rows in prop.search] == search
+    assert hashlib.sha256(prop.fine.tobytes()).hexdigest() == fine
+    assert hashlib.sha256(prop.coarse.tobytes()).hexdigest() == coarse
+
+
+def test_search_imports_no_masked_arrays():
+    """np.setdiff1d and np.intersect1d import numpy.ma, about 1 MB, on
+    their first call; the sampled search, mirrored or not, calls neither."""
+    src = os.path.dirname(os.path.dirname(fermion.__file__))
+    code = textwrap.dedent("""
+        import sys
+        from annealkit.fermion import ChainSpec, propagate
+        from annealkit.noise import NoiseSpectrum, sample_signal
+        propagate(ChainSpec(size=128), 30.0)
+        signals = [None] * 128
+        signals[0] = sample_signal(NoiseSpectrum(n_modes=64), (7, 128, 0))
+        propagate(ChainSpec(size=128, coupling=0.01, signals=tuple(signals)),
+                  10.0)
+        print("numpy.ma" in sys.modules)
+        """)
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout == "False\n"
 
 
 def search_on_all_rows(chain, T, rtol, atol) -> list:
@@ -504,6 +564,13 @@ class TestBatchedPropagator:
     def test_batch_orthogonal(self):
         for S in propagator(batch_chains("all", 5, L=12), 100.0, 400):
             assert orthogonality_defect(S) <= 1e-12
+
+    def test_orthogonality_defect_is_the_plain_formula(self):
+        # computed in place, it must equal the out-of-place formula exactly
+        for S in [propagate(ChainSpec(size=256), 10.0).fine,
+                  *propagator(batch_chains("all", 3), 8.0, 70)]:
+            plain = np.abs(S.T @ S - np.eye(len(S))).max()
+            assert orthogonality_defect(S) == plain
 
     @pytest.mark.parametrize("steps", [0, -2, 2.5, True, "4"])
     def test_step_count_must_be_a_positive_int(self, steps):
