@@ -68,18 +68,38 @@ schedule angles and bond factors are computed once, one PhasorMoments
 covers every noisy (chain, site) row, and each propagator of the batch
 is bit for bit the one its chain gives alone.
 
-After each block, every entry of R below _FLUSH = 1e-50 in size is set
-to 0.  In a short anneal the Lieb-Robinson cone of a long chain never
-fills it: the entries far outside the cone are products of many small
-rotation sines and fall into the subnormal range, where a multiply
-costs tens of times more than on normal numbers (unflushed, 4,608 of
-the 262,144 entries at L = 256, T = 10, 42 steps).  The flush cannot move a result:
-each row of R evolves under an orthogonal map, so zeroing entries below
-1e-50 moves any later entry by at most their norm, about 1e-47 per
-block, some 30 orders of magnitude below the rounding of any residual
-energy.  It runs once per block: a flush is one more pass over R, and
-flushing every 24 layers measured slower on the noise-free L = 256
+Every entry of R below _FLUSH = 1e-50 in size is set to 0 after each
+block of a noisy batch and after every _BAND_FLUSH = 3 steps of a
+noise-free one, and after the last step.  In a short anneal the
+Lieb-Robinson cone of a long chain never fills it: the entries far
+outside the cone are products of many small rotation sines and fall
+into the subnormal range, where a multiply costs tens of times more
+than on normal numbers (unflushed, 4,608 of the 262,144 entries at
+L = 256, T = 10, 42 steps).  The flush cannot move a result: each row
+of R evolves under an orthogonal map, so zeroing entries below 1e-50
+moves any later entry by at most their norm, about 1e-47 per flush,
+some 30 orders of magnitude below the rounding of any residual energy.
+On whole rows it runs once per block: a flush is one more pass over R,
+and flushing every 24 layers measured slower on the noise-free L = 256
 anneal.
+
+A noise-free row is instead stored on a band: W column pairs from a
+pair offset of its own, one W for the batch, so the layers multiply
+(B, r, 2W) and the straddle entries recur every W pairs.  A layer moves
+a row's support by at most one column, 12 per step.  At each flush a
+row whose support lies within _MARGIN = 12 _BAND_FLUSH + 2 columns of
+an edge inside the chain widens the band: one gather re-centres every
+row on its support with that margin, with W _BAND_GROW pairs wider than
+the widest row needs, up to L.  Between flushes the columns outside a
+band therefore stay exact zeros, as they do in a whole-row run (or
+zeros of the other sign, which the flush equalizes), and the columns
+inside take the same multiplies: a banded row equals, bit for bit, that
+row of a whole-row run flushed every _BAND_FLUSH steps.  Only that
+cadence enters the bytes, so a row's bytes do not depend on W or on the
+rows beside it, and ENGINE names it.  At v = 0.1 ... 0.01 on the
+L = 256 slice, 51-78% of R ends as flushed zeros, and the band skips
+most of them.  The rows are scattered into whole rows before the last
+field turn.  Noisy rows stay whole, W = L, and keep the per-block flush.
 
 Accuracy follows the per-step tolerance of an adaptive Runge-Kutta run:
 propagate() accepts n steps when
@@ -164,10 +184,18 @@ _MAX_STEPS = 1 << 24
 # sample's ratio lies within 5% of the full one
 _SAMPLE_ROWS = 64
 _SAMPLE_FROM = 4 * _SAMPLE_ROWS
-ENGINE = f"majorana-s6-block{BLOCK}-sample{_SAMPLE_ROWS}-mirror"
-# entries of R below this are set to 0 after each block: far below any
-# result's rounding, and it keeps the layer multiplies out of subnormals
+# entries of R below this are set to 0 after each block of a noisy batch
+# and every _BAND_FLUSH steps of a noise-free one: far below any result's
+# rounding, and it keeps the layer multiplies out of subnormals
 _FLUSH = 1e-50
+_BAND_FLUSH = 3
+# a noise-free row's band is widened at a flush when its support comes
+# within _MARGIN columns of an inner edge; the 12 layers of a step move
+# the support by at most 12 columns
+_MARGIN = 12 * _BAND_FLUSH + 2
+_BAND_GROW = 32                 # pairs of slack in a band's width
+ENGINE = (f"majorana-s6-block{BLOCK}-sample{_SAMPLE_ROWS}-mirror"
+          f"-band{_BAND_FLUSH}")
 _TINY = np.finfo(float).tiny
 
 
@@ -306,23 +334,6 @@ def ground_energy(chain: ChainSpec, s: float, t: float = 0.0) -> float:
     return float(-0.5 * eps.sum() + 0.5 * np.trace(A) + field_offset(chain, s, t))
 
 
-def spin_spectrum(A: np.ndarray, B: np.ndarray, offset: float) -> np.ndarray:
-    """All 2^L spin energies reconstructed from the quasiparticle modes.
-
-    Only sensible for small L; used to cross-check against dense
-    diagonalization.
-    """
-    eps = quasiparticle_energies(A, B)
-    L = len(eps)
-    if L > 16:
-        raise ParameterError("spectrum reconstruction limited to L <= 16")
-    e0 = -0.5 * eps.sum() + 0.5 * np.trace(A) + offset
-    energies = np.zeros(1)
-    for e in eps:
-        energies = np.concatenate([energies, energies + e])
-    return np.sort(energies + e0)
-
-
 def _on_grid(schedule: Callable, s: np.ndarray) -> np.ndarray:
     """A schedule evaluated on an array of s (constants broadcast)."""
     return np.broadcast_to(np.asarray(schedule(s), dtype=float), s.shape)
@@ -431,6 +442,45 @@ def propagator(chains, T: float, steps: int, rows=None) -> np.ndarray:
                        _noise_kernel(chains, T / steps))
 
 
+def _band(low: np.ndarray, high: np.ndarray, L: int, width: int) -> tuple:
+    """(width, offsets) of a band for rows whose nonzero columns span
+    low..high: each row's W pairs from its offset on reach _MARGIN columns
+    past its support, or the chain's end, and W is _BAND_GROW pairs more
+    than the widest row needs, at least `width` and at most L."""
+    first = np.maximum(low - _MARGIN, 0) // 2
+    need = np.minimum(high + _MARGIN, 2 * L - 1) // 2 + 1 - first
+    width = min(L, max(width, int(need.max()) + _BAND_GROW))
+    return width, np.clip(first - (width - need) // 2, 0, L - width)
+
+
+def _widened(S: np.ndarray, offset: np.ndarray, L: int) -> tuple:
+    """(S, offset) of flushed banded rows S re-gathered onto _band() of
+    their supports."""
+    width = S.shape[-1] // 2
+    nonzero = S != 0.0
+    low = 2 * offset + nonzero.argmax(axis=-1)
+    high = 2 * (offset + width) - 1 - nonzero[..., ::-1].argmax(axis=-1)
+    wider, moved = _band(low, high, L, width)
+    # a column beyond the old band reads the old edge column, which is 0:
+    # the support stayed _MARGIN - 12 _BAND_FLUSH columns inside it
+    source = np.arange(2 * wider) + 2 * (moved - offset)[..., None]
+    np.clip(source, 0, 2 * width - 1, out=source)
+    return np.take_along_axis(S, source, axis=-1), moved
+
+
+def _views(S: np.ndarray) -> tuple:
+    """(pairs, links, straddle, magnitude) of rows S of one band width."""
+    width = S.shape[-1] // 2
+    # the array shifted by one entry, as one flat run of b_i + i a_{i+1};
+    # every width-th entry pairs the last b of a row with the first a of
+    # the next (also across propagators), and is put back after each bond
+    # layer
+    links = S.reshape(-1)[1:-1].view(complex)
+    return (S.view(complex),                # columns a_i + i b_i
+            links, slice(width - 1, None, width),
+            np.empty_like(S))               # |S|, for the flush
+
+
 def _propagated(chains, T: float, steps: int, rows, noise) -> np.ndarray:
     """propagator() of checked arguments, given the batch's noise kernel
     _noise_kernel(chains, T / steps); the kernel restarts at step 0 here,
@@ -438,19 +488,21 @@ def _propagated(chains, T: float, steps: int, rows, noise) -> np.ndarray:
     lead = chains[0]
     B, L = len(chains), lead.size
     h = T / steps
-    start = np.eye(2 * L) if rows is None else np.eye(2 * L)[rows]
-    if start.ndim != 2 or not len(start):
+    picked = np.arange(2 * L)[slice(None) if rows is None else rows]
+    if picked.ndim != 1 or not len(picked):
         raise ParameterError("rows must select at least one Majorana")
-    S = np.empty((B,) + start.shape)
-    S[:] = start
-    pairs = S.view(complex)                 # columns a_i + i b_i
-    # the array shifted by one entry, as one flat run of b_i + i a_{i+1};
-    # every L-th entry pairs the last b of a row with the first a of the
-    # next (also across propagators), and is put back after each bond layer
-    links = S.reshape(-1)[1:-1].view(complex)
-    straddle = slice(L - 1, None, L)
-    kept = np.empty(B * len(start) - 1, dtype=complex)
-    magnitude = np.empty_like(S)            # |S|, for the flush
+    # row j of every propagator holds pairs offset[b, j] ... + width - 1;
+    # noisy rows are whole (module docstring)
+    start = np.broadcast_to(picked, (B, len(picked)))
+    if noise is None:
+        width, offset = _band(start, start, L, 0)
+        cadence = _BAND_FLUSH
+    else:
+        width, offset = L, np.zeros(start.shape, dtype=int)
+        cadence = BLOCK
+    S = np.zeros(start.shape + (2 * width,))
+    np.put_along_axis(S, (start - 2 * offset)[..., None], 1.0, axis=-1)
+    kept = np.empty(S[..., 0].size - 1, dtype=complex)
     # a block's field angles are (step, layer) + sites: per (propagator,
     # -, site), broadcast over rows
     sites = (B, 1, L) if noise is not None else (1, 1, 1)
@@ -458,6 +510,7 @@ def _propagated(chains, T: float, steps: int, rows, noise) -> np.ndarray:
         rows, kernel = noise
         kernel.restart()
     carry = np.zeros(sites)                 # last sub-interval, merged on
+    pairs, links, straddle, magnitude = _views(S)
     for first in range(0, steps, BLOCK):
         n = min(BLOCK, steps - first)
         field, bond = _schedule_angles(lead, T, h, first, first + n)
@@ -474,14 +527,33 @@ def _propagated(chains, T: float, steps: int, rows, noise) -> np.ndarray:
         turn = np.empty((n, 6) + sites, dtype=complex)
         np.cos(angle[:, :6], out=turn.real)
         np.sin(angle[:, :6], out=turn.imag)
-        for turn_j, bond_j in zip(turn.reshape((6 * n,) + sites),
-                                  bond.reshape(-1)):
-            pairs *= turn_j
-            kept[:] = links[straddle]
-            links *= bond_j
-            links[straddle] = kept
-        np.abs(S, out=magnitude)
-        np.copyto(S, 0.0, where=magnitude < _FLUSH)
+        for step in range(n):
+            for turn_j, bond_j in zip(turn[step], bond[step]):
+                pairs *= turn_j
+                kept[:] = links[straddle]
+                links *= bond_j
+                links[straddle] = kept
+            done = first + step + 1
+            if done % cadence and done < steps:
+                continue
+            np.abs(S, out=magnitude)
+            np.copyto(S, 0.0, where=magnitude < _FLUSH)
+            if width == L or done == steps:
+                continue
+            # widen where a row's support nears an edge inside the chain
+            near = (offset > 0) & S[..., :_MARGIN].any(axis=-1)
+            near |= (offset < L - width) & S[..., -_MARGIN:].any(axis=-1)
+            if near.any():
+                S, offset = _widened(S, offset, L)
+                width = S.shape[-1] // 2
+                pairs, links, straddle, magnitude = _views(S)
+    if width < L:
+        del magnitude
+        full = np.zeros(start.shape + (2 * L,))
+        np.put_along_axis(full, 2 * offset[..., None] + np.arange(2 * width),
+                          S, axis=-1)
+        S = full
+    pairs = S.view(complex)
     pairs *= np.exp(-1j * carry)
     return S
 

@@ -272,7 +272,7 @@ GOLDEN_SWEEP = {"sizes": [8], "velocities": [0.02], "n_realizations": 100,
                 "noise_mode": "all", "spectrum": {"n_modes": 100},
                 "rtol": 1e-6, "atol": 1e-9, "output": "curve.tsv"}
 GOLDEN_TABLE = \
-    "12d1a64feab453622f26a4ce6636efff3226ae9f9c8f237ddee726ef55760121"
+    "835f67f1130a03eecbb83b5a342ec3a556c68703917fade6c818096475f7b126"
 
 
 def test_golden_allsites_table(tmp_path):
