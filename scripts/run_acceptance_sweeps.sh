@@ -19,8 +19,10 @@
 #   qubit_hz02                 ~67-73 s (the qubit stage's wall time)
 #   sweep_allsites             ~0.8 core-hours for all 39 points
 #                              (projected; the 25 committed DOP853 rows
-#                              belong to another plan digest, so the
-#                              table is rebuilt whole)
+#                              belong to another plan digest, so simulate
+#                              exits 1 on them, "refusing to resume",
+#                              until results/allsites_curve.tsv is moved
+#                              away)
 #   sweep_single               ~1.25 core-hours (projected)
 # The L=128 points are 75-80% of the sweep cost; they run one realization
 # per propagator call and are bound by its layer multiplies.

@@ -25,7 +25,10 @@ def bin_stats(values: np.ndarray, n_bins_target: int):
     """Mean and binned standard error; bins equal to within one sample.
 
     A single value has no spread to estimate; its error is reported as 0.
+    A target below 2 bins raises ParameterError.
     """
+    if n_bins_target < 2:
+        raise ParameterError(f"n_bins must be >= 2, got {n_bins_target}")
     n = len(values)
     if n == 1:
         return float(values[0]), 0.0, 1
@@ -48,20 +51,8 @@ def datasets_from_table(table: Table, observable: str = "delta_e",
     """
     if plateau_mode not in PLATEAU_MODES:
         raise ParameterError(f"plateau_mode must be one of {PLATEAU_MODES}")
-    mean_col = f"{observable}_mean"
-    err_col = f"{observable}_stderr"
-    if not table.has_column(mean_col) and \
-            table.has_column(f"{observable}_phys_mean"):
-        # device tables report physical-qubit observables under this name
-        mean_col = f"{observable}_phys_mean"
-        err_col = f"{observable}_phys_stderr"
-    for col in ("L", "v", mean_col, err_col):
-        if not table.has_column(col):
-            raise SchemaError(f"table lacks required column {col!r}")
-    L = table["L"]
-    v = table["v"]
-    f = table[mean_col]
-    s = table[err_col]
+    L, v, f, s = (table[name] for name in ("L", "v", f"{observable}_mean",
+                                           f"{observable}_stderr"))
     keep = ~(np.isnan(f) | np.isnan(s) | np.isnan(v))
     if plateau_mode == "energy_1d":
         keep &= f < plateau_fraction * (L - 1)

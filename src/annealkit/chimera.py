@@ -36,14 +36,15 @@ named by DECODED_COLUMNS, one entry per tile-run, which `write_table`
 writes column by column; `read_decoded` reads such a table back and
 `aggregate_tiles` takes its columns by name.  Malformed inputs raise
 SchemaError: a decoded table whose column line is not DECODED_COLUMNS,
-whose tile, run or hc_violations is not a non-negative integer or whose
-excluded flag is not 0 or 1; an annealing time that is present but not
-positive and finite; a coupler listed twice, joining a qubit to itself
-or with a value that is not finite; a logical map whose tile_side is
-not in [2, 32], that places a tile twice or beyond the grid, or whose
-sites repeat an (x, y), name a tile that is not a placement, lie
-outside their tile's L x L window or leave it incomplete; a qubit
-claimed by two sites.
+whose tile_side is not in [2, 32], whose tile, run or hc_violations is
+not a non-negative integer or whose excluded flag is not 0 or 1; an
+annealing time that is present but not positive and finite; a binary
+sample file that does not hold exactly the records its header counts;
+a coupler listed twice, joining a qubit to itself or with a value that
+is not finite; a logical map whose tile_side is not in [2, 32], that
+places a tile twice or beyond the grid, or whose sites repeat an
+(x, y), name a tile that is not a placement, lie outside their tile's
+L x L window or leave it incomplete; a qubit claimed by two sites.
 """
 
 from __future__ import annotations
@@ -550,22 +551,14 @@ def _coupler_arrays(path) -> tuple:
     """(metadata, qubits, values) of a coupler-list document: qubits is
     an (n, 2) int64 array holding two different qubit indices of the chip
     per coupler, values the n coupler values, each finite."""
-    table = read_table(path)
-    if table.meta.get("schema") != COUPLER_SCHEMA:
-        raise SchemaError(f"{path} is not a {COUPLER_SCHEMA} document")
-    if table.columns != ["q1", "q2", "J"]:
-        raise SchemaError(f"unexpected coupler header: {' '.join(table.columns)}")
-    qubits = table.data[:, :2]
-    if not np.all((qubits == np.trunc(qubits)) & (qubits >= 0)
-                  & (qubits < N_QUBITS)):
-        raise SchemaError(f"{path} has a qubit index that is not an "
-                          f"integer in [0, {N_QUBITS})")
+    table = read_table(path, COUPLER_SCHEMA, ("q1", "q2", "J"))
+    qubits = table.counts(("q1", "q2"), N_QUBITS)
     if np.any(qubits[:, 0] == qubits[:, 1]):
         raise SchemaError(f"{path}: a coupler joins a qubit to itself")
-    values = table.data[:, 2]
+    values = table["J"]
     if not np.all(np.isfinite(values)):
         raise SchemaError(f"{path}: a coupler value is not finite")
-    return table.meta, qubits.astype(np.int64), values
+    return table.meta, qubits, values
 
 
 def read_coupler_list(path):
@@ -785,9 +778,9 @@ def read_samples(path) -> SampleSet:
             # size check before reading: a corrupt run count must not
             # make the read allocate for records the file does not hold
             remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-            if remaining < n_qubits * n_runs:
-                raise SchemaError(f"{path}: truncated binary sample file "
-                                  f"({remaining} bytes for {n_runs} records)")
+            if remaining != n_qubits * n_runs:
+                raise SchemaError(f"{path}: {remaining} bytes of records "
+                                  f"for a header of {n_runs} records")
             data = np.frombuffer(fh.read(n_qubits * n_runs), dtype="<i1")
             values = data.reshape(n_runs, n_qubits)
         else:
@@ -819,16 +812,11 @@ def read_decoded(path) -> tuple:
 
     The column line must equal DECODED_COLUMNS; `tile`, `run` and
     `hc_violations` must be non-negative integers and `excluded` 0 or
-    1.  The `tile_side` header must be an int and `annealing_time` a
-    positive finite float or nan (samples without one).  Anything else
-    raises SchemaError.
+    1.  The `tile_side` header must be an int in [2, 32] and
+    `annealing_time` a positive finite float or nan (samples without
+    one).  Anything else raises SchemaError.
     """
-    table = read_table(path)
-    if table.meta.get("schema") != DECODED_SCHEMA:
-        raise SchemaError(f"{path} is not a {DECODED_SCHEMA} table")
-    if table.columns != list(DECODED_COLUMNS):
-        raise SchemaError(f"{path}: columns '{' '.join(table.columns)}' are "
-                          f"not '{' '.join(DECODED_COLUMNS)}'")
+    table = read_table(path, DECODED_SCHEMA, DECODED_COLUMNS)
     header = {}
     for key, kind in (("tile_side", int), ("annealing_time", float)):
         try:
@@ -836,16 +824,13 @@ def read_decoded(path) -> tuple:
         except (KeyError, ValueError):
             raise SchemaError(f"{path}: header {key!r} is missing or not "
                               f"{kind.__name__}") from None
-    anneal_time = header["annealing_time"]
+    L, anneal_time = header["tile_side"], header["annealing_time"]
+    if not 2 <= L <= LOGICAL_SIDE:
+        raise SchemaError(f"{path}: tile_side {L} is not in "
+                          f"[2, {LOGICAL_SIDE}]")
     if not (np.isnan(anneal_time) or 0 < anneal_time < np.inf):
         raise SchemaError(f"{path}: annealing_time {anneal_time!r} is not "
                           f"positive and finite")
-    counts = np.stack([table[name] for name in ("tile", "run",
-                                                "hc_violations")])
-    if not np.all(np.isfinite(counts) & (counts >= 0)
-                  & (counts == np.trunc(counts))):
-        raise SchemaError(f"{path}: tile, run and hc_violations must be "
-                          f"non-negative integers")
-    if not np.all(np.isin(table["excluded"], (0, 1))):
-        raise SchemaError(f"{path}: excluded must be 0 or 1")
-    return table, header["tile_side"], anneal_time
+    table.counts(("tile", "run", "hc_violations"))
+    table.counts(("excluded",), 2)
+    return table, L, anneal_time

@@ -70,7 +70,8 @@ def _resumed_points(table: str, plan_digest: str) -> list:
     """The per-point sidecar entries of the rows a resume keeps."""
     try:
         previous = read_document(table + ".meta.json")
-        kept = {(int(row[0]), float(row[1])) for row in read_table(table).rows()}
+        curve = read_table(table)
+        kept = set(zip(curve["L"].tolist(), curve["v"].tolist()))
     except (OSError, SchemaError):
         return []
     points = previous.get("points")

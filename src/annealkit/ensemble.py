@@ -110,6 +110,8 @@ class SweepPlan:
             raise ParameterError(
                 f"single_site {self.single_site} must be a site of every "
                 f"chain, 0 to {min(self.sizes) - 1}")
+        if self.n_bins < 2:
+            raise ParameterError(f"n_bins must be >= 2, got {self.n_bins}")
         if not self.rtol > 0.0:
             raise ParameterError(f"rtol must be positive, got {self.rtol}")
         if not self.atol >= 0.0:
@@ -263,18 +265,17 @@ def _table_meta(plan: SweepPlan, extra: Optional[dict] = None) -> dict:
 def _load_completed(path, plan: SweepPlan) -> dict:
     if not path or not os.path.exists(path):
         return {}
-    table = read_table(path)
+    table = read_table(path, CURVE_SCHEMA, CURVE_COLUMNS)
     digest = table.meta.get("plan_digest")
     if digest != plan.digest():
         raise SchemaError(
             f"{path} was produced by a different plan (digest {digest}, "
             f"expected {plan.digest()}); refusing to resume")
-    done = {}
-    for row in table.rows():
-        key = (int(row[0]), repr(float(row[1])))
-        done[key] = PointRow(int(row[0]), float(row[1]), row[2], row[3],
-                             int(row[4]), int(row[5]))
-    return done
+    rows = zip(table.counts(("L", "n_real", "n_bins")).tolist(),
+               table["v"].tolist(), table["delta_e_mean"],
+               table["delta_e_stderr"])
+    return {(L, repr(v)): PointRow(L, v, mean, stderr, n_real, n_bins)
+            for (L, n_real, n_bins), v, mean, stderr in rows}
 
 
 def run_sweep(plan: SweepPlan, out_path=None, workers: int = 1,

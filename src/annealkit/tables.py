@@ -68,38 +68,33 @@ def append_row(path, columns: Sequence[str], row: Sequence,
                meta: dict | None = None) -> None:
     """Append one row, creating the file with headers on first use.
 
-    An existing file must carry the same `# schema:` and column line as
-    the file this call would create; anything else raises SchemaError.
+    An existing file must be a table that `read_table` accepts with the
+    `# schema:` (when `meta` names one) and column line of the file this
+    call would create; anything else raises SchemaError.
     """
     if not os.path.exists(path):
         write_table(path, columns, [row], meta)
         return
-    have_meta = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            have_columns, _ = _header(fh, have_meta)
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
-    schema = (meta or {}).get("schema")
-    want = (None if schema is None else str(schema).strip(), list(columns))
-    have = (have_meta.get("schema"), have_columns)
-    if have != want:
-        raise SchemaError(f"{path} holds a {have[0]} table with columns "
-                          f"{have[1]}; refusing to append a {want[0]} row "
-                          f"with columns {want[1]}")
+    read_table(path, (meta or {}).get("schema"), columns)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(" ".join(map(_format_value, row)) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
 
 
+# floats hold every integer below this exactly
+_EXACT = 2 ** 53
+
+
 class Table:
     """Parsed table: metadata dict plus named float columns."""
 
-    def __init__(self, meta: dict, columns: Sequence[str], data: np.ndarray):
+    def __init__(self, meta: dict, columns: Sequence[str], data: np.ndarray,
+                 path):
         self.meta = meta
         self.columns = list(columns)
         self.data = data
+        self.path = path
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -108,52 +103,53 @@ class Table:
         try:
             return self.data[:, self.columns.index(name)]
         except ValueError:
-            raise SchemaError(f"table has no column {name!r}; has {self.columns}")
+            raise SchemaError(f"{self.path} has no column {name!r}; has "
+                              f"{self.columns}") from None
 
-    def has_column(self, name: str) -> bool:
-        return name in self.columns
-
-    def rows(self):
-        return (tuple(r) for r in self.data)
-
-
-def _header(lines, meta: dict) -> tuple:
-    """(columns, count): the fields of the first line that is neither
-    blank nor a comment, and the number of lines up to and including
-    it; the '# key: value' comment lines before it go into meta.
-    columns is None when there is no such line."""
-    count = 0
-    for line in lines:
-        count += 1
-        fields = line.split()
-        if not fields:
-            continue
-        if fields[0].startswith("#"):
-            body = line.strip()[1:].strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
-                meta[key.strip()] = value.strip()
-            continue
-        return fields, count
-    return None, count
+    def counts(self, names: Sequence[str], high: int = _EXACT) -> np.ndarray:
+        """The named columns as an (n, len(names)) int64 array; SchemaError
+        unless every entry is an integer in [0, high)."""
+        values = np.stack([self[name] for name in names], axis=1)
+        if not np.all((values >= 0) & (values < high)
+                      & (values == np.trunc(values))):
+            raise SchemaError(f"{self.path}: {', '.join(names)} must be "
+                              f"integers in [0, {high})")
+        return values.astype(np.int64)
 
 
-def read_table(path) -> Table:
-    """Parse a table; malformed content raises SchemaError.
+def read_table(path, schema: str | None = None,
+               columns: Sequence[str] | None = None) -> Table:
+    """Parse a table; malformed content raises SchemaError, and so does a
+    `# schema:` tag other than `schema` or a column line other than
+    `columns` when they are given.
 
-    The '# key: value' lines before the column line are the metadata.
-    The body after it is parsed by one numpy call, which skips blank
+    The column line is the first line that is neither blank nor a
+    comment; the '# key: value' lines before it are the metadata.  The
+    body after it is parsed by one numpy call, which skips blank
     lines and everything from a '#' to the end of its line."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
-    meta = {}
-    lines = text.split("\n")
-    columns, count = _header(lines, meta)
-    if columns is None:
+    meta, have, lines = {}, None, text.split("\n")
+    for count, line in enumerate(lines, 1):
+        fields = line.split()
+        if fields and fields[0].startswith("#"):
+            key, colon, value = line.strip()[1:].partition(":")
+            if colon:
+                meta[key.strip()] = value.strip()
+        elif fields:
+            have = fields
+            break
+    if have is None:
         raise SchemaError(f"{path} has no column header line")
+    if schema is not None and meta.get("schema") != schema:
+        raise SchemaError(f"{path} holds a {meta.get('schema')} table, "
+                          f"not a {schema} table")
+    if columns is not None and have != list(columns):
+        raise SchemaError(f"{path}: columns '{' '.join(have)}' are not "
+                          f"'{' '.join(columns)}'")
     import warnings
 
     try:
@@ -164,11 +160,11 @@ def read_table(path) -> Table:
     except ValueError as exc:
         raise SchemaError(f"malformed rows in {path}: {exc}") from None
     if not len(data):
-        data = np.empty((0, len(columns)))
-    elif data.shape[1] != len(columns):
+        data = np.empty((0, len(have)))
+    elif data.shape[1] != len(have):
         raise SchemaError(f"row width {data.shape[1]} != header width "
-                          f"{len(columns)} in {path}")
-    return Table(meta, columns, data)
+                          f"{len(have)} in {path}")
+    return Table(meta, have, data, path)
 
 
 def read_document(path, schema: str | None = None) -> dict:

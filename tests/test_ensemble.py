@@ -220,6 +220,22 @@ class TestRunSweep:
         with pytest.raises(SchemaError):
             run_sweep(other, out_path=path)
 
+    @pytest.mark.parametrize("old, new", [
+        ("delta_e_mean delta_e_stderr", "delta_e_stderr delta_e_mean"),
+        ("\n4 ", "\n4.5 "),
+    ], ids=["columns_swapped", "fractional_L"])
+    def test_resume_refuses_a_malformed_table(self, tmp_path, old, new):
+        plan = SweepPlan(sizes=(4,), velocities=(1.0, 2.0), n_realizations=1,
+                         noise_mode="none")
+        path = tmp_path / "c.tsv"
+        run_sweep(plan, out_path=path)
+        # a complete table: no point is left to compute and append
+        content = path.read_text().replace(old, new, 1)
+        path.write_text(content)
+        with pytest.raises(SchemaError):
+            run_sweep(plan, out_path=path)
+        assert path.read_text() == content
+
     def test_failed_point_recorded_and_sweep_continues(self, tmp_path,
                                                        monkeypatch):
         plan = SweepPlan(sizes=(4,), velocities=(0.5, 1.0), n_realizations=1,

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from annealkit import cli
-from annealkit.analysis import rescaled_rows
+from annealkit.analysis import bin_stats, rescaled_rows
 from annealkit.chimera import (DECODED_COLUMNS, N_QUBITS, SAMPLES_MAGIC,
                                DefectList, build_embedding,
                                build_full_embedding, read_coupler_list,
@@ -122,6 +122,18 @@ class TestMalformedFilesExitCleanly:
         path = tmp_path / "samples.bin"
         path.write_bytes(SAMPLES_MAGIC + struct.pack("<II", N_QUBITS, 3)
                          + b"\x01" * (N_QUBITS + 5))
+        with pytest.raises(SchemaError):
+            read_samples(path)
+        run_decode(tmp_path, capsys, dict(device_files, samples=str(path)))
+
+    @pytest.mark.parametrize("n_records, tail", [(3, b""), (1, b"\x01")],
+                             ids=["more_records", "trailing_bytes"])
+    def test_binary_samples_beyond_their_header(self, tmp_path, capsys,
+                                                device_files, n_records,
+                                                tail):
+        path = tmp_path / "samples.bin"
+        path.write_bytes(SAMPLES_MAGIC + struct.pack("<II", N_QUBITS, 1)
+                         + b"\x01" * (N_QUBITS * n_records) + tail)
         with pytest.raises(SchemaError):
             read_samples(path)
         run_decode(tmp_path, capsys, dict(device_files, samples=str(path)))
@@ -242,12 +254,14 @@ class TestMalformedFilesExitCleanly:
 
     @pytest.mark.parametrize("header, replacement", [
         ("tile_side", ""), ("tile_side", "# tile_side: 4.5\n"),
+        ("tile_side", "# tile_side: -7\n"), ("tile_side", "# tile_side: 33\n"),
         ("annealing_time", ""), ("annealing_time", "# annealing_time: abc\n"),
         ("annealing_time", "# annealing_time: -3.0\n"),
         ("annealing_time", "# annealing_time: 0.0\n"),
         ("annealing_time", "# annealing_time: -0.0\n"),
         ("annealing_time", "# annealing_time: inf\n"),
-    ], ids=["no_tile_side", "fractional_tile_side", "no_annealing_time",
+    ], ids=["no_tile_side", "fractional_tile_side", "negative_tile_side",
+            "tile_side_beyond_the_chip", "no_annealing_time",
             "annealing_time_text", "annealing_time_negative",
             "annealing_time_zero", "annealing_time_negative_zero",
             "annealing_time_inf"])
@@ -328,8 +342,9 @@ class TestMalformedFilesExitCleanly:
         "a b\n1 2\n",
         "# schema: x/1\n",
         "# schema: x/1\na b c\n1 2 3\n",
+        "# schema: x/1\na b\n1 abc\n",
     ], ids=["other_schema", "other_columns", "no_schema", "no_column_line",
-            "extra_column"])
+            "extra_column", "malformed_body"])
     def test_append_row_refuses_a_foreign_table(self, tmp_path, content):
         path = tmp_path / "t.tsv"
         path.write_text(content)
@@ -527,6 +542,25 @@ class TestRequiredKeys:
                                    write_config(tmp_path, doc)] + argv)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("n_bins", [-1, 0, 1])
+    @pytest.mark.parametrize("verb", ["simulate", "aggregate"])
+    def test_bin_count_below_two(self, tmp_path, capsys, device_files, verb,
+                                 n_bins):
+        if verb == "simulate":
+            section = {"sizes": [4], "velocities": [0.5],
+                       "noise_mode": "none", "n_bins": n_bins}
+        else:
+            section = {"input": str(decoded_table(tmp_path, device_files)),
+                       "n_bins": n_bins}
+        before = sorted(p.name for p in tmp_path.iterdir())
+        doc = {"output_dir": str(tmp_path), verb: section}
+        assert_clean_exit(capsys, [verb, "--config",
+                                   write_config(tmp_path, doc)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(set(before) | {"config.json"})
+        with pytest.raises(ParameterError):
+            bin_stats(np.arange(4.0), n_bins)
+
     def test_empty_sizes_rejected_by_plan(self):
         with pytest.raises(ParameterError):
             SweepPlan(sizes=())
@@ -589,6 +623,18 @@ class TestMissingOrHollowInputs:
         with pytest.raises(SchemaError):
             read_embedding(cpath, mpath)
         run_decode(tmp_path, capsys, device_files)
+
+    @pytest.mark.parametrize("observable", ["delta_e", "delta_m"])
+    def test_fit_table_lacking_a_column(self, tmp_path, capsys, observable):
+        table = tmp_path / "curve.tsv"
+        table.write_text("L v delta_e_mean\n4 0.1 0.5\n4 0.2 0.6\n")
+        cfg = write_config(tmp_path, {
+            "output_dir": str(tmp_path),
+            "fit": {"input": str(table), "observable": observable}})
+        assert cli.main(["fit", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {table} has no column ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("summary", [
         {},
